@@ -76,20 +76,22 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def ragged_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def ragged_indices(starts: np.ndarray, counts: np.ndarray,
+                   dtype=np.int64) -> np.ndarray:
     """Concatenate ``arange(start, start + count)`` for each segment.
 
     The standard vectorized gather for CSR-style ragged ranges; zero
-    counts are allowed and contribute nothing.
+    counts are allowed and contribute nothing.  ``dtype`` must hold
+    every index (int32 halves the temporaries of a big gather).
     """
     counts = counts.astype(np.int64, copy=False)
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     offsets = np.cumsum(counts) - counts
-    out = np.arange(total, dtype=np.int64)
-    out -= np.repeat(offsets, counts)
-    out += np.repeat(starts.astype(np.int64, copy=False), counts)
+    out = np.arange(total, dtype=dtype)
+    out -= np.repeat(offsets.astype(dtype, copy=False), counts)
+    out += np.repeat(starts.astype(dtype, copy=False), counts)
     return out
 
 
@@ -165,16 +167,15 @@ class MatchStructure:
     """Flat matching-problem arena for one dp/bj direction.
 
     Each maintained pair is one matching problem; ``ba_lslot`` /
-    ``ba_rslot`` are globally disjoint slot ids (so one stamp array
-    serves every problem).  The greedy visit order is *not* stored per
-    entry: an entry's weight and repr tie-break are functions of its
-    arena pair alone, so the runtime ranks the (much smaller) arena once
-    per sweep and walks arena pairs in rank order.  Entries of one arena
-    pair can never conflict (one occurrence per problem, disjoint slots),
-    so each rank step processes its whole entry list vectorized -- that
-    is what the ``ba_*`` (by-arena CSR) layout is for.  The by-problem
-    ``ent_arena`` remains for the dirty-subset round selection and the
-    dependency counts; the by-problem slot arrays (``ent_lslot`` /
+    ``ba_rslot`` are globally disjoint slot ids (so one slot array
+    serves every problem at once).  The greedy visit order is *not*
+    stored per entry: an entry's weight and repr tie-break are functions
+    of its arena pair alone, so the runtime ranks the (much smaller)
+    arena once per sweep and concatenates the ``ba_*`` (by-arena CSR)
+    ranges in rank order -- every entry in global greedy order, with no
+    per-entry sort.  The locally-dominant rounds of the matching kernel
+    run over that sequence.  The by-problem ``ent_arena`` remains for
+    the dependency counts; the by-problem slot arrays (``ent_lslot`` /
     ``ent_rslot``) are kept so the streaming patcher can splice rebuilt
     rows without reconstructing them from the by-arena layout.
     """
@@ -195,8 +196,9 @@ class MatchStructure:
         self.ent_start = np.cumsum(ent_count) - ent_count
         self.ent_lslot = ent_lslot
         self.ent_rslot = ent_rslot
-        # by-arena CSR (stable radix argsort keeps rank-step entries in
-        # deterministic problem order, though any order is correct).
+        # by-arena CSR (stable radix argsort keeps each arena pair's
+        # entries in deterministic problem order, though any order is
+        # correct: they never share a slot).
         order = np.argsort(ent_arena, kind="stable")
         counts = np.bincount(ent_arena, minlength=num_arena)
         self.ba_indptr = np.zeros(num_arena + 1, dtype=np.int64)

@@ -9,12 +9,14 @@ but on the integer-indexed representation of :mod:`repro.core.compile`:
 - the cross/SimRank term becomes a per-pair segment sum;
 - the dp/bj greedy matching exploits that an entry's weight and repr
   tie-break are functions of its arena pair alone: the arena is sorted
-  once per sweep by ``(-score, repr-rank)`` and arena pairs are visited
-  in that order.  All entries of one arena pair are mutually
-  conflict-free, so every rank step runs vectorized over slot-stamp
-  arrays (small instances use a flat sorted Python pass instead).  The
-  repr-rank reproduces the reference tie-breaking bit for bit (see
-  ``CompiledFSim.tie_rank``);
+  once per sweep by ``(-score, repr-rank)``, which orders the entries
+  of every matching problem at once.  The greedy then runs as
+  *locally-dominant rounds* over all problems together: each round
+  accepts every live entry that comes first at both of its slots and
+  drops the entries on used slots.  Under this strict order the rounds
+  accept exactly the reference greedy matching, and one ``bincount``
+  sums it in the reference's visit order.  The repr-rank reproduces
+  the reference tie-breaking bit for bit (see ``CompiledFSim.tie_rank``);
 - after each sweep, the *incremental scheduler* re-queues only the pairs
   whose Equation-3 inputs changed (``dirty_tolerance`` widens "changed"
   to ``|change| > tol``; the default 0.0 keeps the trajectory bitwise
@@ -55,18 +57,9 @@ class VectorizedFSimEngine:
                  dirty_tolerance: float = DEFAULT_DIRTY_TOLERANCE):
         self.compiled = compiled
         self.dirty_tolerance = float(dirty_tolerance)
-        self._stamp = 0
-        self._stamps = {}
-        #: Per-sweep cache of the arena greedy rank (both directions of a
-        #: sweep read the same pre-sweep scores).
-        self._rank_cache = None
-        for term in (compiled.out_term, compiled.in_term):
-            if term is not None and term.family == "match":
-                structure = term.structures[0]
-                self._stamps[id(structure)] = (
-                    np.zeros(structure.num_lslots, dtype=np.int64),
-                    np.zeros(structure.num_rslots, dtype=np.int64),
-                )
+        #: Per-sweep cache of the arena greedy visit order (both
+        #: directions of a sweep read the same pre-sweep scores).
+        self._order_cache = None
 
     # ------------------------------------------------------------------
     # one synchronous sweep over the dirty pairs
@@ -85,7 +78,7 @@ class VectorizedFSimEngine:
         """
         compiled = self.compiled
         cfg = compiled.config
-        self._rank_cache = None
+        self._order_cache = None
         out_vals: object = 0.0
         in_vals: object = 0.0
         if compiled.out_term is not None:
@@ -122,7 +115,10 @@ class VectorizedFSimEngine:
                 idx = ragged_indices(structure.ent_start[upd], counts)
                 total = segment_sum(scores[structure.ent_arena[idx]], counts)
         else:
-            total = self._match_totals(scores, upd, term)
+            from repro.obs.profiling import phase
+
+            with phase("engine.match"):
+                total = self._match_totals(scores, upd, term)
         conv = term.conv[upd]
         values = conv.copy()
         active = np.isnan(conv)
@@ -158,170 +154,88 @@ class VectorizedFSimEngine:
             maxima = np.empty(0, dtype=np.float64)
         return segment_sum(maxima, grp_counts)
 
-    def _arena_greedy_order(self, scores):
+    def _arena_greedy_order(self, scores) -> np.ndarray:
         """The reference greedy's global visit order over arena pairs.
 
         An entry's weight and repr tie-break are functions of its arena
         pair alone, so sorting the (much smaller) arena by
         ``(-score, repr-rank)`` once per sweep totally orders the entries
-        of *every* matching problem.  Returns ``(order, rank)`` where
-        ``order`` lists the positive-score pair-ids in visit order and
-        ``rank`` maps pair-id -> position (sentinel ``num_feasible`` for
-        weight <= 0, which the reference greedy never visits).
+        of *every* matching problem.  Returns the positive-score
+        pair-ids in visit order (weight <= 0 is never visited by the
+        reference greedy).
         """
-        if self._rank_cache is not None:
-            return self._rank_cache
-        compiled = self.compiled
-        order = np.lexsort((compiled.tie_rank, -scores))
-        num_positive = int(np.count_nonzero(scores > 0.0))
-        positive_order = order[:num_positive]
-        rank = np.full(
-            compiled.num_feasible, compiled.num_feasible, dtype=np.int64
-        )
-        rank[positive_order] = np.arange(num_positive, dtype=np.int64)
-        self._rank_cache = (positive_order, rank)
-        return self._rank_cache
+        if self._order_cache is None:
+            order = np.lexsort((self.compiled.tie_rank, -scores))
+            self._order_cache = order[:int(np.count_nonzero(scores > 0.0))]
+        return self._order_cache
 
     def _match_totals(self, scores, upd, term: DirectionTerm) -> np.ndarray:
-        """Greedy max-weight matching sums, processed as rank rounds.
+        """Greedy max-weight matching sums by locally-dominant rounds.
 
-        Arena pairs are visited in exact reference order; all entries of
-        one arena pair are conflict-free (at most one occurrence per
-        problem, globally disjoint slots), so each round runs vectorized:
-        mask already-stamped slots, stamp the survivors, log their
-        problems.  A problem leaves the active set once its matching
-        saturates the |M_chi| cap.  The final per-problem sums are one
-        ``bincount`` over the logged (problem, weight) pairs, which
-        accumulates in visit order -- bit-identical to the reference's
-        matched-weight summation.
+        The live entries are gathered in global rank order.  Each round
+        accepts every entry that comes first among the live entries at
+        both its left and its right slot, then drops the entries on used
+        slots.  Slots are disjoint across problems and an arena pair
+        occurs at most once per problem, so the order within a slot is
+        strict and the rounds accept exactly the reference greedy
+        matching (Preis 1999).  The |M_chi| cap keeps each problem's
+        first ``cap`` acceptances in rank order -- exactly what a capped
+        greedy accepts.  (A compiled cap is the maximum matching size,
+        which no greedy matching exceeds, so there it never binds.)  One
+        ``bincount`` over the acceptances in rank order sums each
+        problem in the reference's visit order, bit for bit.
         """
         (structure,) = term.structures
-        compiled = self.compiled
-        num_updatable = compiled.num_updatable
-        if structure.ba_prob.size == 0 or upd.size == 0:
-            return np.zeros(len(upd), dtype=np.float64)
-        visit_order, rank = self._arena_greedy_order(scores)
-        if structure.ba_prob.size <= self._FLAT_LIMIT:
-            return self._match_totals_flat(scores, upd, structure, rank)
+        num_updatable = self.compiled.num_updatable
         full = upd.size == num_updatable
-        if full:
-            rounds = visit_order
-            active = np.ones(num_updatable, dtype=bool)
-            active_count = num_updatable
-        else:
-            counts = structure.ent_count[upd]
-            sub = ragged_indices(structure.ent_start[upd], counts)
-            pair_ids = np.unique(structure.ent_arena[sub])
-            pair_ranks = rank[pair_ids]
-            keep = pair_ranks < compiled.num_feasible
-            pair_ids = pair_ids[keep]
-            rounds = pair_ids[np.argsort(pair_ranks[keep])]
+        visit_order = self._arena_greedy_order(scores)
+        indptr = structure.ba_indptr
+        # int32 entry indices keep the entry-sized temporaries small.
+        index = np.int32 if indptr[-1] < 2 ** 31 else np.int64
+        entries = ragged_indices(
+            indptr[visit_order], indptr[visit_order + 1] - indptr[visit_order],
+            dtype=index,
+        )
+        if not full:
             active = np.zeros(num_updatable, dtype=bool)
             active[upd] = True
-            active_count = int(upd.size)
-        lstamp, rstamp = self._stamps[id(structure)]
-        self._stamp += 1
-        stamp = self._stamp
-        matched_counts = np.zeros(num_updatable, dtype=np.int64)
+            entries = entries[active[structure.ba_prob[entries]]]
+        lslot = structure.ba_lslot[entries]
+        rslot = structure.ba_rslot[entries]
+        pos = np.arange(entries.size, dtype=index)
+        first_l = np.empty(structure.num_lslots, dtype=index)
+        first_r = np.empty(structure.num_rslots, dtype=index)
+        used_l = np.zeros(structure.num_lslots, dtype=bool)
+        used_r = np.zeros(structure.num_rslots, dtype=bool)
+        accepted = np.zeros(entries.size, dtype=bool)
+        while pos.size:
+            # Reversed assignment: the last write wins, so each slot
+            # ends up holding its first live position.
+            first_l[lslot[::-1]] = pos[::-1]
+            first_r[rslot[::-1]] = pos[::-1]
+            wins = (first_l[lslot] == pos) & (first_r[rslot] == pos)
+            accepted[pos[wins]] = True
+            used_l[lslot[wins]] = True
+            used_r[rslot[wins]] = True
+            live = np.flatnonzero(~(used_l[lslot] | used_r[rslot]))
+            pos, lslot, rslot = pos[live], lslot[live], rslot[live]
+        chosen = entries[accepted]
+        probs = structure.ba_prob[chosen]
         caps = structure.cap
-        prob_all = structure.ba_prob
-        l_all = structure.ba_lslot
-        r_all = structure.ba_rslot
-        starts = structure.ba_indptr[rounds].tolist()
-        ends = structure.ba_indptr[rounds + 1].tolist()
-        weights = scores[rounds].tolist()
-        parts_p = []
-        parts_w = []
-        for i in range(len(starts)):
-            if active_count == 0:
-                break
-            start = starts[i]
-            end = ends[i]
-            if start == end:
-                continue
-            probs = prob_all[start:end]
-            lslots = l_all[start:end]
-            rslots = r_all[start:end]
-            free = (
-                active[probs]
-                & (lstamp[lslots] != stamp)
-                & (rstamp[rslots] != stamp)
-            )
-            if not free.any():
-                continue
-            chosen = probs[free]
-            lstamp[lslots[free]] = stamp
-            rstamp[rslots[free]] = stamp
-            parts_p.append(chosen)
-            parts_w.append(np.full(chosen.size, weights[i]))
-            new_counts = matched_counts[chosen] + 1
-            matched_counts[chosen] = new_counts
-            saturated = chosen[new_counts == caps[chosen]]
-            if saturated.size:
-                active[saturated] = False
-                active_count -= int(saturated.size)
-        if parts_p:
-            totals = np.bincount(
-                np.concatenate(parts_p),
-                weights=np.concatenate(parts_w),
-                minlength=num_updatable,
-            )
-        else:
-            totals = np.zeros(num_updatable, dtype=np.float64)
+        if (np.bincount(probs, minlength=num_updatable) > caps).any():
+            by_prob = np.argsort(probs, kind="stable")
+            sorted_probs = probs[by_prob]
+            starts = np.searchsorted(sorted_probs, sorted_probs)
+            ordinal = np.empty(probs.size, dtype=np.int64)
+            ordinal[by_prob] = np.arange(probs.size) - starts
+            keep = ordinal < caps[probs]
+            chosen, probs = chosen[keep], probs[keep]
+        weights = scores[np.searchsorted(indptr, chosen, side="right") - 1]
+        # (an empty bincount comes back int64 even with weights)
+        totals = np.bincount(
+            probs, weights=weights, minlength=num_updatable
+        ).astype(np.float64, copy=False)
         return totals if full else totals[upd]
-
-    #: Below this many entries the per-round numpy dispatch overhead
-    #: dominates; a flat sorted pass in plain Python wins.
-    _FLAT_LIMIT = 1 << 17
-
-    def _match_totals_flat(self, scores, upd, structure, rank) -> np.ndarray:
-        """Small-problem variant of :meth:`_match_totals`: materialize the
-        positive entries sorted by ``(problem, rank)`` and run the greedy
-        as one tight Python loop with cap early-breaks."""
-        compiled = self.compiled
-        num_updatable = compiled.num_updatable
-        sentinel = compiled.num_feasible
-        lengths = np.diff(structure.ba_indptr)
-        ent_rank = np.repeat(rank, lengths)
-        keep = ent_rank < sentinel
-        if upd.size != num_updatable:
-            active = np.zeros(num_updatable, dtype=bool)
-            active[upd] = True
-            keep &= active[structure.ba_prob]
-        totals_global = [0.0] * num_updatable
-        if keep.any():
-            probs = structure.ba_prob[keep].astype(np.int64)
-            order = np.argsort(probs * (sentinel + 1) + ent_rank[keep])
-            probs_sorted = probs[order].tolist()
-            lefts = structure.ba_lslot[keep][order].tolist()
-            rights = structure.ba_rslot[keep][order].tolist()
-            weights = np.repeat(scores, lengths)[keep][order].tolist()
-            caps = structure.cap.tolist()
-            lstamp = [0] * structure.num_lslots
-            rstamp = [0] * structure.num_rslots
-            previous = -1
-            matched = 0
-            cap = 0
-            for k in range(len(probs_sorted)):
-                p = probs_sorted[k]
-                if p != previous:
-                    previous = p
-                    matched = 0
-                    cap = caps[p]
-                elif matched >= cap:
-                    continue
-                left = lefts[k]
-                if lstamp[left]:
-                    continue
-                right = rights[k]
-                if rstamp[right]:
-                    continue
-                lstamp[left] = 1
-                rstamp[right] = 1
-                totals_global[p] += weights[k]
-                matched += 1
-        totals = np.asarray(totals_global, dtype=np.float64)
-        return totals if upd.size == num_updatable else totals[upd]
 
     # ------------------------------------------------------------------
     # the fixed-point loop with the dirty-pair scheduler

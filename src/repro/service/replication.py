@@ -492,7 +492,8 @@ class ReplicationTail:
         self._stopping = True
 
     async def _tail_once(self) -> None:
-        """One connection's lifetime; exits only by raising."""
+        """One connection's lifetime; exits by raising, or by returning
+        once :meth:`stop` was called."""
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(
                 self.primary_host, self.primary_port, limit=1 << 22
@@ -527,7 +528,10 @@ class ReplicationTail:
                 primary=self.primary, after=self.applied_seq,
                 head=self.head_seq, trace_id=self._conn_trace,
             )
-            while True:
+            # Python 3.11's wait_for returns the line instead of raising
+            # when a cancel lands just as the line arrives, so a stopping
+            # tail must also leave by checking the flag.
+            while not self._stopping:
                 line = await asyncio.wait_for(
                     reader.readline(), timeout=self.stall_timeout
                 )

@@ -403,6 +403,23 @@ class TestReplicaBasics:
 
 
 class TestReplicaResilience:
+    def test_stopping_tail_leaves_without_its_cancel(self, tmp_path):
+        """Python 3.11's ``wait_for`` swallows a cancel that lands just
+        as the awaited line arrives.  The stop flag alone must end the
+        tail at its next frame, or server shutdown waits on it forever."""
+        primary = start_primary(tmp_path)
+        replica = start_replica(primary.port)
+        try:
+            with ServiceClient(port=replica.port, timeout=30.0) as rc:
+                wait_caught_up(rc, seq=1)
+            server = replica.server
+            replica._loop.call_soon_threadsafe(server.tail.stop)
+            wait_for(server._tail_task.done, timeout=10.0,
+                     message="stopped tail exit")
+        finally:
+            replica.stop()
+            primary.stop()
+
     def test_blip_resumes_from_watermark_without_rebootstrap(
             self, tmp_path, monkeypatch):
         """An injected partition drops the stream mid-tail; the follower
