@@ -73,7 +73,6 @@ class FSimAligner:
         graphs1: Sequence[LabeledDigraph],
         graph2: LabeledDigraph,
         workers: Optional[int] = None,
-        executor=None,
     ) -> List[Alignment]:
         """Align several graph versions against one shared target.
 
@@ -81,12 +80,11 @@ class FSimAligner:
         aligns versions of the same RDF graph; batching through
         :func:`~repro.core.api.fsim_matrix_many` lowers the shared
         target once and optionally shards whole versions over the
-        :mod:`repro.runtime` executor.  Returns one alignment per input
+        :mod:`repro.runtime` worker pool.  Returns one alignment per input
         graph, in order.
         """
         results = fsim_matrix_many(
             graphs1, graph2, config=self.config, workers=workers,
-            executor=executor,
         )
         return [
             self._project(graph1, result)

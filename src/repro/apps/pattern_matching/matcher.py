@@ -48,7 +48,6 @@ class FSimMatcher:
         queries: Sequence[LabeledDigraph],
         data: LabeledDigraph,
         workers: Optional[int] = None,
-        executor=None,
     ) -> List[Optional[Dict[Node, Node]]]:
         """Top-1 matches for a whole query workload against one data graph.
 
@@ -56,11 +55,10 @@ class FSimMatcher:
         scenario): all FSim computations go through
         :func:`~repro.core.api.fsim_matrix_many`, so the data graph is
         lowered once and, with ``workers > 1``, whole queries are
-        sharded across the :mod:`repro.runtime` executor.
+        sharded across the :mod:`repro.runtime` worker pool.
         """
         results = fsim_matrix_many(
             queries, data, config=self.config, workers=workers,
-            executor=executor,
         )
         return [
             self._expand(query, data, result)

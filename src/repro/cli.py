@@ -63,7 +63,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.config import ARENA_BACKENDS, EXECUTOR_KINDS
+from repro.core.config import ARENA_BACKENDS
 from repro.simulation.base import Variant
 
 
@@ -87,7 +87,6 @@ def _cmd_fsim(args) -> int:
         theta=args.theta,
         label_function=args.label_function,
         workers=args.workers,
-        executor=args.executor,
         backend=args.backend,
         **({"shards": args.shards} if args.shards else {}),
         **({"arena_backend": args.arena_backend}
@@ -118,8 +117,7 @@ def _cmd_topk(args) -> int:
         backend=args.backend,
     )
     results = TopKSearch(graph1, graph2, config).search_many(
-        args.query, args.k, workers=args.workers, executor=args.executor,
-        shards=args.shards,
+        args.query, args.k, workers=args.workers, shards=args.shards,
     )
     for result in results:
         status = "certified" if result.certified else "best-effort"
@@ -155,7 +153,7 @@ def _cmd_stream(args) -> int:
         script = parse_edit_script(handle)
     session = IncrementalFSim(
         graph1, graph2, config, mode=args.mode,
-        workers=args.workers, executor=args.executor, shards=args.shards,
+        workers=args.workers, shards=args.shards,
     )
     start = time.perf_counter()
     result = session.compute()
@@ -234,7 +232,6 @@ def _cmd_serve(args) -> int:
     store = GraphStore(
         default_config=config,
         workers=args.workers,
-        executor=args.executor,
         shards=args.shards,
     )
     if args.wal_dir:
@@ -744,11 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     fsim.add_argument("--label-function", default="jaro_winkler")
     fsim.add_argument("--workers", type=int, default=None)
     fsim.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime (auto = shared-memory executor for sweeps)",
-    )
-    fsim.add_argument(
         "--shards", type=int, default=None,
         help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",
     )
@@ -785,11 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topk.add_argument("--workers", type=int, default=None)
     topk.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime (auto = shared-memory executor for sweeps)",
-    )
-    topk.add_argument(
         "--shards", type=int, default=None,
         help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",
     )
@@ -820,11 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--theta", type=float, default=0.0)
     stream.add_argument("--label-function", default="jaro_winkler")
     stream.add_argument("--workers", type=int, default=None)
-    stream.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime (auto = shared-memory executor for sweeps)",
-    )
     stream.add_argument(
         "--shards", type=int, default=None,
         help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",
@@ -869,10 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default compute backend for registered graphs",
     )
     serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument(
-        "--executor", choices=list(EXECUTOR_KINDS), default=None,
-        help="parallel runtime for the resident sessions",
-    )
     serve.add_argument(
         "--shards", type=int, default=None,
         help="pair-space shards for the persistent sharded runtime (1 = unsharded; results are bitwise identical)",

@@ -16,7 +16,6 @@ def fsim_matrix(
     variant: Variant = Variant.S,
     config: Optional[FSimConfig] = None,
     workers: Optional[int] = None,
-    executor=None,
     **overrides,
 ) -> FSimResult:
     """Compute FSim_chi scores for all candidate pairs across two graphs.
@@ -40,9 +39,7 @@ def fsim_matrix(
     """
     if config is None:
         config = FSimConfig(variant=Variant(variant), **overrides)
-    return FSimEngine(graph1, graph2, config).run(
-        workers=workers, executor=executor
-    )
+    return FSimEngine(graph1, graph2, config).run(workers=workers)
 
 
 def fsim(
@@ -81,11 +78,13 @@ def fsim_matrix_many(
     :mod:`repro.core.plan` and every query's compilation reuses it, so
     per-query cost collapses to the query-specific arena assembly plus
     iteration.  ``workers > 1`` shards *whole queries* over the
-    :mod:`repro.runtime` executor (one process computes one query end
-    to end -- contrast with ``fsim_matrix(workers=...)``, which shards
-    pair ranges of a single query); under the fork executor the shared
-    lowering is warmed in the parent first so every worker inherits it
-    copy-on-write.
+    :mod:`repro.runtime` worker pool (one process computes one query
+    end to end -- contrast with ``fsim_matrix(workers=...)``, which
+    shards pair ranges of a single query).  Each worker receives its
+    queries, and the data graph they share, in one pickled payload, so
+    it lowers the data graph once.  ``executor`` (an
+    :class:`~repro.runtime.executor.Executor` instance) replaces the
+    pool ``workers`` would pick.
 
     Returns one :class:`FSimResult` per query graph, in input order.
     """
@@ -96,9 +95,7 @@ def fsim_matrix_many(
         from repro.runtime import resolve_executor
         from repro.runtime.driver import run_engines
 
-        resolved = resolve_executor(
-            config, workers, executor, workload="queries"
-        )
+        resolved = resolve_executor(config, workers, executor)
         if resolved.workers > 1:
             return run_engines(engines, resolved)
     # Single query (or serial): keep the requested parallelism by
@@ -113,12 +110,9 @@ def fsim_single_graph(
     variant: Variant = Variant.B,
     config: Optional[FSimConfig] = None,
     workers: Optional[int] = None,
-    executor=None,
     **overrides,
 ) -> FSimResult:
     """All-pairs FSim scores from a graph to itself (the paper's
     single-graph experiments compute "the FSim scores from the graph to
     itself")."""
-    return fsim_matrix(
-        graph, graph, variant, config, workers, executor, **overrides
-    )
+    return fsim_matrix(graph, graph, variant, config, workers, **overrides)

@@ -20,9 +20,9 @@ Mirrors the paper's knobs:
   integer-indexed engine of :mod:`repro.core.vectorized`), or "auto"
   (numpy when the configuration is expressible and the problem is large
   enough to amortize compilation; see docs/PERF.md);
-- ``workers`` / ``executor`` -- the parallel runtime (Section 3.4 /
-  Figure 9a): how many worker processes share each iteration's pair
-  updates and which :mod:`repro.runtime` executor runs them.
+- ``workers`` -- the parallel runtime (Section 3.4 / Figure 9a): how
+  many worker processes of the :mod:`repro.runtime` pool share each
+  iteration's pair updates.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from repro.labels.similarity import LabelSimilarity, get_label_function
 from repro.simulation.base import Variant
 
 Pair = Tuple[Hashable, Hashable]
-
-#: Recognised parallel-runtime executor kinds (see :mod:`repro.runtime`).
-EXECUTOR_KINDS = ("auto", "serial", "fork", "shared_memory")
 
 #: Recognised compiled-arena storage backends (see
 #: :meth:`repro.core.compile.CompiledFSim.convert_to_memmap`).
@@ -79,11 +76,6 @@ class FSimConfig:
     #: Figure 9a): 1 = in-process serial.  Per-call ``workers=``
     #: arguments override this default.
     workers: int = 1
-    #: Which :mod:`repro.runtime` executor runs parallel work: "auto"
-    #: (shared-memory runtime for vectorized sweeps, fork inheritance
-    #: for dict engines where the platform forks), "serial", "fork" or
-    #: "shared_memory".  Results are bitwise identical across executors.
-    executor: str = "auto"
     #: Pair-space shards for the persistent sharded runtime
     #: (:mod:`repro.runtime.sharded`): 1 = unsharded.  With ``shards >
     #: 1`` each shard's compiled rows (entry lists, dependency CSR,
@@ -132,11 +124,6 @@ class FSimConfig:
             raise ConfigError("max_iterations must be positive when given")
         if int(self.workers) < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"executor must be one of {EXECUTOR_KINDS}, "
-                f"got {self.executor!r}"
-            )
         if int(self.shards) < 1:
             raise ConfigError(f"shards must be positive, got {self.shards}")
         if self.arena_backend not in ARENA_BACKENDS:

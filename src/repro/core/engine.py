@@ -455,10 +455,10 @@ class FSimEngine:
         ``config.backend``: the vectorized numpy engine
         (:mod:`repro.core.vectorized`) where expressible, the reference
         loop below otherwise.  ``workers > 1`` distributes each
-        iteration's pair updates over the :mod:`repro.runtime` executor
-        (``executor`` -- a kind name or an
-        :class:`~repro.runtime.executor.Executor` instance -- overrides
-        ``config.executor``); ``shards > 1`` (overriding
+        iteration's pair updates over the :mod:`repro.runtime` worker
+        pool (``executor`` -- an
+        :class:`~repro.runtime.executor.Executor` instance -- replaces
+        the pool ``workers`` would pick); ``shards > 1`` (overriding
         ``config.shards``; numpy backend only) runs the persistent
         sharded runtime of :mod:`repro.runtime.sharded` instead, where
         workers own pair-space slices and only boundary scores cross
@@ -471,19 +471,11 @@ class FSimEngine:
             raise ConfigError(f"workers must be positive, got {workers}")
         if shards is not None and shards < 1:
             raise ConfigError(f"shards must be positive, got {shards}")
+        resolved = resolve_executor(self.config, workers, executor)
         if self._resolve_backend() == "numpy":
             from repro.core.vectorized import run_vectorized
 
-            return run_vectorized(
-                self,
-                executor=resolve_executor(
-                    self.config, workers, executor, workload="sweep"
-                ),
-                shards=shards,
-            )
+            return run_vectorized(self, resolved, shards=shards)
         from repro.runtime.driver import run_reference_engine
 
-        resolved = resolve_executor(
-            self.config, workers, executor, workload="pairs"
-        )
         return run_reference_engine(self, resolved)

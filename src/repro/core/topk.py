@@ -120,10 +120,10 @@ class TopKSearch:
     # ------------------------------------------------------------------
     def search(self, query: Node, k: int,
                workers: Optional[int] = None,
-               executor=None, shards: Optional[int] = None) -> TopKResult:
+               shards: Optional[int] = None) -> TopKResult:
         """Return the certified top-k partners of ``query``."""
         return self.search_many([query], k, workers=workers,
-                                executor=executor, shards=shards)[0]
+                                shards=shards)[0]
 
     def search_many(self, queries: Sequence[Node], k: int,
                     workers: Optional[int] = None,
@@ -136,9 +136,10 @@ class TopKSearch:
         the score trajectory does not depend on the query set, and each
         query retires the first iteration its certification criterion
         holds.  ``workers > 1`` runs the shared iteration loop on the
-        :mod:`repro.runtime` executor (the batch shares one sweep
-        session -- and, with the shared-memory executor, one persistent
-        pool); ``shards > 1`` (default ``config.shards``; numpy backend)
+        :mod:`repro.runtime` worker pool (the batch shares one sweep
+        session and one persistent pool; ``executor``, an
+        :class:`~repro.runtime.executor.Executor` instance, replaces
+        the pool ``workers`` would pick); ``shards > 1`` (default ``config.shards``; numpy backend)
         runs the sharded runtime instead, with the query rows gathered
         per iteration through its watch buffer.  Results are bitwise
         identical to the serial loop either way.
@@ -156,13 +157,10 @@ class TopKSearch:
         config = self.engine.config
         if shards is None:
             shards = config.shards
+        resolved = resolve_executor(config, workers, executor)
         if self.engine._resolve_backend() == "numpy":
-            resolved = resolve_executor(config, workers, executor,
-                                        workload="sweep")
             return self._search_many_numpy(queries, k, resolved,
                                            shards=int(shards))
-        resolved = resolve_executor(config, workers, executor,
-                                    workload="pairs")
         return self._search_many_python(queries, k, resolved)
 
     # ------------------------------------------------------------------

@@ -395,14 +395,12 @@ class VectorizedFSimEngine:
         return trajectory[iterations], iterations, converged, deltas
 
 
-def run_vectorized(engine, workers: Optional[int] = None, executor=None,
-                   shards: Optional[int] = None):
+def run_vectorized(engine, executor, shards: Optional[int] = None):
     """Run ``engine``'s computation on the numpy backend.
 
     ``engine`` is a :class:`repro.core.engine.FSimEngine`; the caller has
     already checked :func:`repro.core.engine.vectorized_fallback_reason`.
-    ``executor`` (an :class:`repro.runtime.executor.Executor`, a kind
-    name, or ``None`` to resolve from the config / ``workers``) runs the
+    ``executor`` (an :class:`repro.runtime.executor.Executor`) runs the
     sweeps; every executor returns the same
     :class:`~repro.core.engine.FSimResult` bit for bit.
 
@@ -413,7 +411,6 @@ def run_vectorized(engine, workers: Optional[int] = None, executor=None,
     silently run unsharded.
     """
     from repro.core.engine import FSimResult
-    from repro.runtime import resolve_executor
 
     compiled = compile_fsim(engine.graph1, engine.graph2, engine.config)
     if shards is None:
@@ -434,10 +431,7 @@ def run_vectorized(engine, workers: Optional[int] = None, executor=None,
             fallback=engine.result_fallback(),
         )
     vectorized = VectorizedFSimEngine(compiled)
-    resolved = resolve_executor(
-        engine.config, workers, executor, workload="sweep"
-    )
-    with resolved.sweep_session(vectorized) as sweep:
+    with executor.sweep_session(vectorized) as sweep:
         scores, iterations, converged, deltas = vectorized.iterate(
             sweep=sweep
         )

@@ -5,9 +5,8 @@
     sees the reward ratio flatten after 8);
 (b) the same configuration while densifying the graphs x1..x50.
 
-Panel (a) runs on the unified executor runtime (:mod:`repro.runtime`):
-the default ``shared_memory`` executor keeps one persistent worker pool
-across all measured worker counts and double-buffers each sweep in
+Panel (a) runs on the worker pool of :mod:`repro.runtime`, which keeps
+one persistent pool per worker count and double-buffers each sweep in
 shared memory, so the measured scaling reflects the paper's
 conflict-free pair updates rather than pool-forking and score-array
 pickling overheads.  ``benchmarks/bench_parallel.py`` records the same
@@ -17,7 +16,7 @@ workload machine-readably (``BENCH_parallel.json``).
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.api import fsim_matrix
 from repro.datasets import load_dataset
@@ -37,14 +36,12 @@ def default_worker_counts() -> Tuple[int, ...]:
 
 def run_workers(
     scale: float = 1.0, seed: int = 0, worker_counts: Tuple[int, ...] = (),
-    executor: Optional[str] = None,
 ) -> ExperimentOutput:
     """Figure 9(a): runtime vs worker count.
 
-    ``executor`` picks the :mod:`repro.runtime` executor kind for the
-    multi-worker rows (default "auto": the shared-memory runtime for
-    vectorized sweeps).  Scores are bitwise identical at every worker
-    count, so only the wall clock varies.
+    The multi-worker rows run on the :mod:`repro.runtime` worker pool.
+    Scores are bitwise identical at every worker count, so only the
+    wall clock varies.
     """
     counts = worker_counts or default_worker_counts()
     rows = []
@@ -56,7 +53,6 @@ def run_workers(
             elapsed, _ = timed(
                 fsim_matrix, graph, graph, Variant.BJ,
                 theta=1.0, use_upper_bound=True, workers=workers,
-                executor=executor,
             )
             row.append(fmt(elapsed, 2) + "s")
             data[(name, workers)] = elapsed

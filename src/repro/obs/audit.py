@@ -46,8 +46,8 @@ AUDIT_DROPPED = "repro_audit_dropped_total"
 
 #: Config fields forced onto the reference re-execution -- maximally
 #: independent of whatever fast path served the live answer.
-REFERENCE_OVERRIDES = dict(backend="python", workers=1, executor="serial",
-                           shards=1, arena_backend="ram")
+REFERENCE_OVERRIDES = dict(backend="python", workers=1, shards=1,
+                           arena_backend="ram")
 
 
 def fingerprint_scores(scores) -> str:

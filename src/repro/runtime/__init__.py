@@ -1,29 +1,26 @@
-"""The unified executor runtime (Section 3.4 / Figure 9a, as a layer).
+"""The parallel runtime (Section 3.4 / Figure 9a, as a layer).
 
 Iteration k of Algorithm 1 reads only iteration k-1 scores, so pair
-updates parallelize without conflicts.  Before this subsystem that
-observation was served by three disconnected fork-pool code paths in
-``repro.core.parallel``; every parallel caller now runs on one
-:class:`~repro.runtime.executor.Executor`:
+updates parallelize without conflicts.  Every parallel caller runs on
+one :class:`~repro.runtime.executor.Executor`:
 
 - :class:`~repro.runtime.executor.SerialExecutor` -- the in-process
   reference path (``workers == 1``);
-- :class:`~repro.runtime.executor.ForkExecutor` -- a pool forked per
-  run with the immutable state inherited copy-on-write (zero pickling
-  of engines/compiled arrays; POSIX only);
-- :class:`~repro.runtime.executor.SharedMemoryExecutor` -- a
-  **persistent** worker pool (reused across queries, batches and
+- :class:`~repro.runtime.executor.SharedMemoryExecutor` -- the one
+  worker pool: **persistent** (reused across queries, batches and
   streaming updates) with the sweep state double-buffered in
-  ``multiprocessing.shared_memory``: each sweep ships only pair-id
-  range descriptors, workers write their range's Equation-3 values
-  straight into the shared output buffer.  Works under both fork and
+  ``multiprocessing.shared_memory``.  Each sweep ships only pair-id
+  range descriptors; workers write their range's Equation-3 values
+  straight into the shared output buffer.  It also runs the reference
+  engine's pair steps and whole-query fan-out, under both the fork and
   spawn start methods.
 
-Executors are resolved from ``FSimConfig(workers=..., executor=...)``
-(or per-call overrides) by :func:`resolve_executor`; pooled instances
-are cached process-wide by :func:`get_executor` so repeated queries
-share one pool.  All executors produce results bitwise identical to
-serial iteration -- see ``tests/test_runtime.py``.
+``FSimConfig(workers=...)`` (or a per-call ``workers=``) is the only
+parallelism setting: :func:`resolve_executor` maps it to the serial
+executor or to the pool of that size, which :func:`get_executor` caches
+process-wide so repeated queries share one pool.  Every executor
+produces results bitwise identical to serial iteration -- see
+``tests/test_runtime.py``.
 
 :mod:`repro.runtime.sharded` layers *ownership* on top: with
 ``FSimConfig(shards=...)`` the pair space is partitioned once per
@@ -34,9 +31,7 @@ O(arena) state.  Sharded results are bitwise identical too.
 """
 
 from repro.runtime.executor import (
-    EXECUTOR_KINDS,
     Executor,
-    ForkExecutor,
     SerialExecutor,
     SharedMemoryExecutor,
     SweepChannel,
@@ -61,9 +56,7 @@ __all__ = [
     "ShardedSweepRuntime",
     "open_sharded_runtime",
     "run_sharded",
-    "EXECUTOR_KINDS",
     "Executor",
-    "ForkExecutor",
     "SerialExecutor",
     "SharedMemoryExecutor",
     "SweepChannel",

@@ -4,8 +4,7 @@ The fixed-point orchestration (scheduling, convergence, result
 assembly) stays in the parent; executors only evaluate Jacobi steps.
 These drivers are what the public entry points
 (:meth:`repro.core.engine.FSimEngine.run`,
-:func:`repro.core.api.fsim_matrix_many`) delegate to -- the legacy
-``repro.core.parallel`` module is a thin shim over them.
+:func:`repro.core.api.fsim_matrix_many`) delegate to.
 
 These drivers broadcast the full compiled arena to every worker each
 session.  For long-lived sessions over large arenas, the persistent
@@ -17,7 +16,7 @@ only boundary ("halo") scores cross process boundaries per iteration.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.runtime.executor import Executor, round_robin_shards
 
@@ -73,7 +72,7 @@ def run_reference_engine(engine, executor: Executor):
     )
 
 
-def run_engines(engines: Sequence, executor: Optional[Executor]) -> List:
+def run_engines(engines: Sequence, executor: Executor) -> List:
     """Run many independent computations, one whole query per task.
 
     Each worker runs ``engine.run(workers=1)`` for its shard and ships
@@ -84,7 +83,7 @@ def run_engines(engines: Sequence, executor: Optional[Executor]) -> List:
     from repro.core.engine import FSimResult
 
     engines = list(engines)
-    raw = executor.run_queries(engines) if executor is not None else None
+    raw = executor.run_queries(engines)
     if raw is None:
         return [engine.run(workers=1) for engine in engines]
     results: List = [None] * len(engines)

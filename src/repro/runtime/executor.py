@@ -1,7 +1,6 @@
-"""Executor implementations for the unified parallel runtime.
+"""The worker pool of the parallel runtime.
 
-An :class:`Executor` exposes three workload shapes, each a superset of
-one legacy ``repro.core.parallel`` entry point:
+An :class:`Executor` exposes three workload shapes:
 
 ``sweep_session(vectorized)``
     Context manager yielding a drop-in ``sweep(scores, upd)`` for the
@@ -20,28 +19,24 @@ one legacy ``repro.core.parallel`` entry point:
     ``(position, scores, iterations, converged, deltas, num_candidates)``
     tuples, or ``None`` to make the caller run serially.
 
-Pools are created **lazily**: a session that never crosses the parallel
-threshold (every sweep's dirty set is tiny) never spawns a process --
-the old ``iterate_vectorized_parallel`` forked a pool up front even
-when all sweeps ran serially anyway.
-
-The :class:`SharedMemoryExecutor` is the production runtime: one
-persistent pool (reused across queries, top-k batches and streaming
-updates) plus a parent-owned shared-memory arena double-buffering the
-sweep state (scores in, Equation-3 values out).  Per sweep, the only
-task payload is a pair-id range descriptor; workers write results
-directly into the output buffer, so no per-iteration array crosses the
-process boundary in either direction.  Session state (the compiled
-arrays) is broadcast once per session through a pickled shared-memory
-block, which also makes the executor start-method agnostic: it runs
-under ``spawn`` where fork is unavailable.
+:class:`SerialExecutor` answers ``None`` everywhere (``workers == 1``).
+:class:`SharedMemoryExecutor` is the one worker pool: a persistent pool
+(reused across queries, top-k batches and streaming updates), created
+lazily -- a session that never crosses the parallel threshold never
+starts a process -- plus a parent-owned shared-memory arena
+double-buffering the sweep state (scores in, Equation-3 values out).
+Per sweep, the only task payload is a pair-id range descriptor; workers
+write results directly into the output buffer, so no per-iteration
+array crosses the process boundary in either direction.  Session state
+(the compiled arrays) is broadcast once per session through a pickled
+shared-memory block, which makes the pool start-method agnostic: it
+runs under both ``fork`` and ``spawn``.
 """
 
 from __future__ import annotations
 
 import atexit
 import copy
-import itertools
 import multiprocessing
 import threading
 import os
@@ -54,7 +49,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import EXECUTOR_KINDS
 from repro.core.engine import update_pairs
 from repro.exceptions import ConfigError
 
@@ -62,8 +56,7 @@ from repro.exceptions import ConfigError
 #: process: per-task dispatch overhead (hundreds of microseconds per
 #: worker) dwarfs the vectorized sweep arithmetic below it.  Also the
 #: pool-spawn gate -- a session whose sweeps all stay below it never
-#: creates a pool at all (the legacy runner forked one up front even
-#: when every sweep then ran serially).
+#: creates a pool at all.
 MIN_PARALLEL_UPD = 1024
 
 #: Same gate for the reference (dict) engine's pair updates.  A python
@@ -90,11 +83,6 @@ def preferred_start_method() -> str:
             )
         return forced
     return "fork" if "fork" in methods else "spawn"
-
-
-def fork_available() -> bool:
-    """Whether fork-inheritance executors can run on this platform."""
-    return preferred_start_method() == "fork"
 
 
 def _dumps(payload) -> bytes:
@@ -208,18 +196,6 @@ def _shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _pairs_below_threshold(shards, executor) -> bool:
-    """Whether a dict-engine workload is too small to leave the parent.
-
-    The pair-session analogue of the sweep threshold: per-iteration
-    dispatch plus pickling the previous-iteration score dict dwarfs a
-    handful of ``update_pair`` calls, and staying serial also keeps the
-    pool from ever spawning.
-    """
-    total = sum(len(shard) for shard in shards)
-    return total < max(executor.workers, executor.min_parallel_pairs)
-
-
 def _transportable_vectorized(vectorized) -> Optional[bytes]:
     """The pickled sweep-session payload, or ``None`` when unpicklable.
 
@@ -251,14 +227,6 @@ def _transportable_vectorized(vectorized) -> Optional[bytes]:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: State inherited through fork by ForkExecutor pools, keyed by a
-#: per-session token (set immediately before the lazy pool creation, so
-#: concurrent sessions from different threads never clobber each other;
-#: every task names its token).
-_FORK_SHARED: Dict[int, dict] = {}
-
-_FORK_TOKENS = itertools.count(1)
-
 #: Per-worker cache of shared-memory sessions: (payload name, session
 #: id) -> {"state": unpickled payload, "applied": patch-journal entries
 #: replayed so far}.  A small LRU (rather than the old single slot) so a
@@ -415,11 +383,6 @@ def _query_result_row(engine, position: int) -> tuple:
     )
 
 
-def _run_query_positions(engines, positions) -> List[tuple]:
-    return [_query_result_row(engines[position], position)
-            for position in positions]
-
-
 def _shm_query_worker(task) -> List[tuple]:
     payload_name, session_id = task
     state = _load_session(payload_name, session_id)["state"]
@@ -432,25 +395,6 @@ def _drop_worker_session(_=None) -> None:
     """Release this worker's cached session state (see
     ``SharedMemoryExecutor._release_worker_state``)."""
     _WORKER_SESSIONS.clear()
-
-
-def _fork_sweep_worker(args):
-    token, scores, upd = args
-    return _FORK_SHARED[token]["vectorized"].sweep(scores, upd)
-
-
-def _fork_pair_worker(args) -> Tuple[dict, float]:
-    token, shard_index, prev = args
-    state = _FORK_SHARED[token]
-    return update_pairs(state["engine"], state["shards"][shard_index], prev)
-
-
-def _fork_query_worker(args) -> List[tuple]:
-    token, shard_index = args
-    state = _FORK_SHARED[token]
-    return _run_query_positions(
-        state["engines"], state["query_shards"][shard_index]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -618,11 +562,10 @@ class Executor:
     """Serial base protocol; parallel executors override the sessions.
 
     Every session degrades to ``None`` (= caller runs its own serial
-    path) rather than failing: unpicklable state, empty workloads and
-    platform limitations all fall back gracefully.
+    path) rather than failing: unpicklable state and workloads below
+    the parallel thresholds fall back gracefully.
     """
 
-    kind = "serial"
     workers = 1
     #: Sessions currently inside a ``*_session`` / ``run_queries`` body
     #: (idle-eviction guard for the bounded registry).  Updated under
@@ -642,9 +585,8 @@ class Executor:
     def sweep_session(self, vectorized, channel: "Optional[SweepChannel]" = None):
         """Yield a parallel ``sweep(scores, upd)`` or ``None``.
 
-        ``channel`` (shared-memory executor only) carries the persistent
-        broadcast state of a long-lived streaming session; other
-        executors ignore it.
+        ``channel`` carries the persistent broadcast state of a
+        long-lived streaming session; the serial executor ignores it.
         """
         yield None
 
@@ -689,137 +631,6 @@ class SerialExecutor(Executor):
     """The in-process path: every session yields ``None``."""
 
 
-class ForkExecutor(Executor):
-    """A pool forked per session, state inherited copy-on-write.
-
-    Nothing is pickled on the way in (engines and compiled arrays reach
-    the workers through fork), which also makes this the only parallel
-    path for configs holding unpicklable callables.  The pool is forked
-    lazily on first use and torn down when the session ends; POSIX only.
-    """
-
-    kind = "fork"
-
-    def __init__(self, workers: int, min_parallel_upd: int = MIN_PARALLEL_UPD,
-                 min_parallel_pairs: int = MIN_PARALLEL_PAIRS):
-        self.workers = max(int(workers), 1)
-        self.min_parallel_upd = int(min_parallel_upd)
-        self.min_parallel_pairs = int(min_parallel_pairs)
-        self._touch()
-        #: Pools forked over this executor's lifetime (observability for
-        #: the no-spawn-for-tiny-workloads regression test).
-        self.pools_created = 0
-
-    @contextmanager
-    def _forked_pool(self, state: dict):
-        if not fork_available():
-            warnings.warn(
-                "fork start method unavailable; running serially "
-                "(use the shared_memory executor on this platform)",
-                RuntimeWarning,
-            )
-            yield None, None
-            return
-        context = multiprocessing.get_context("fork")
-        holder: dict = {"pool": None}
-        token = next(_FORK_TOKENS)
-
-        def ensure_pool():
-            if holder["pool"] is None:
-                holder["pool"] = context.Pool(processes=self.workers)
-                self.pools_created += 1
-            return holder["pool"]
-
-        _FORK_SHARED[token] = state
-        try:
-            yield ensure_pool, token
-        finally:
-            pool = holder["pool"]
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            _FORK_SHARED.pop(token, None)
-
-    @contextmanager
-    def sweep_session(self, vectorized, channel=None):
-        # channel is a shared-memory concept: a forked pool re-inherits
-        # the current state each session anyway.
-        import numpy as np
-
-        with self._track(), self._forked_pool(
-            {"vectorized": vectorized}
-        ) as (ensure_pool, token):
-            if ensure_pool is None:
-                yield None
-                return
-            threshold = max(self.workers, self.min_parallel_upd)
-
-            def sweep(scores, upd):
-                if upd.size < threshold:
-                    return vectorized.sweep(scores, upd)
-                shards = np.array_split(upd, self.workers)
-                parts = ensure_pool().map(
-                    _fork_sweep_worker,
-                    [(token, scores, shard)
-                     for shard in shards if shard.size],
-                )
-                return np.concatenate(parts)
-
-            yield sweep
-
-    @contextmanager
-    def pair_session(self, engine, shards):
-        shards = list(shards)
-        if _pairs_below_threshold(shards, self):
-            yield None
-            return
-        with self._track(), self._forked_pool(
-            {"engine": engine, "shards": shards}
-        ) as (ensure_pool, token):
-            if ensure_pool is None:
-                yield None
-                return
-            indices = [i for i, shard in enumerate(shards) if shard]
-
-            def step(prev):
-                if not indices:
-                    return {}, 0.0
-                parts = ensure_pool().map(
-                    _fork_pair_worker, [(token, i, prev) for i in indices]
-                )
-                merged: dict = {}
-                delta = 0.0
-                for partial, local in parts:
-                    merged.update(partial)
-                    if local > delta:
-                        delta = local
-                return merged, delta
-
-            yield step
-
-    def run_queries(self, engines):
-        if not fork_available() or len(engines) < 2 or self.workers < 2:
-            return None
-        _warm_shared_plans(engines)
-        workers = min(self.workers, len(engines))
-        shards = round_robin_shards(range(len(engines)), workers)
-        context = multiprocessing.get_context("fork")
-        token = next(_FORK_TOKENS)
-        _FORK_SHARED[token] = {
-            "engines": list(engines), "query_shards": shards,
-        }
-        try:
-            with self._track(), context.Pool(processes=workers) as pool:
-                self.pools_created += 1
-                partials = pool.map(
-                    _fork_query_worker,
-                    [(token, i) for i in range(workers)],
-                )
-        finally:
-            _FORK_SHARED.pop(token, None)
-        return [row for partial in partials for row in partial]
-
-
 class SharedMemoryExecutor(Executor):
     """The persistent zero-copy runtime (see the module docstring).
 
@@ -830,8 +641,6 @@ class SharedMemoryExecutor(Executor):
     with the session -- per-session ownership is what makes concurrent
     sessions on one cached executor safe.
     """
-
-    kind = "shared_memory"
 
     def __init__(self, workers: int, min_parallel_upd: int = MIN_PARALLEL_UPD,
                  start_method: Optional[str] = None,
@@ -1033,7 +842,12 @@ class SharedMemoryExecutor(Executor):
     @contextmanager
     def pair_session(self, engine, shards):
         shards = list(shards)
-        if _pairs_below_threshold(shards, self):
+        # The pair-session analogue of the sweep threshold: per-iteration
+        # dispatch plus pickling the previous-iteration score dict dwarfs
+        # a handful of ``update_pair`` calls, and staying serial also
+        # keeps the pool from ever spawning.
+        total = sum(len(shard) for shard in shards)
+        if total < max(self.workers, self.min_parallel_pairs):
             yield None
             return
         try:
@@ -1081,12 +895,11 @@ class SharedMemoryExecutor(Executor):
             return None
         # No plan warming here: the plan cache keys on graph identity,
         # and these engines travel by pickle -- workers' unpickled
-        # graph copies could never hit a parent-warmed entry.  (The
-        # fork executor warms because it passes the original objects
-        # through fork inheritance.)  Each shard is published as its
-        # own payload so a worker unpickles only the engines it will
-        # run, not the whole batch; pickle deduplicates a shared data
-        # graph within a shard, so each worker lowers it once.
+        # graph copies could never hit a parent-warmed entry.  Each
+        # shard is published as its own payload so a worker unpickles
+        # only the engines it will run, not the whole batch; pickle
+        # deduplicates a shared data graph within a shard, so each
+        # worker lowers it once.
         workers = min(self.workers, len(engines))
         blocks: List[_PayloadBlock] = []
         try:
@@ -1119,41 +932,22 @@ class SharedMemoryExecutor(Executor):
         return [row for partial in partials for row in partial]
 
 
-def _warm_shared_plans(engines) -> None:
-    """Pre-lower graphs shared by several numpy-backed engines so forked
-    workers inherit the cached plan instead of recompiling it each."""
-    shared_counts: Dict[int, int] = {}
-    for engine in engines:
-        for graph in (engine.graph1, engine.graph2):
-            shared_counts[id(graph)] = shared_counts.get(id(graph), 0) + 1
-    warmed = set()
-    for engine in engines:
-        if engine._resolve_backend() != "numpy":
-            continue
-        from repro.core.plan import lower_graph  # numpy-only dependency
-
-        for graph in (engine.graph1, engine.graph2):
-            if shared_counts[id(graph)] > 1 and id(graph) not in warmed:
-                warmed.add(id(graph))
-                lower_graph(graph)
-
-
 # ----------------------------------------------------------------------
 # registry and resolution
 # ----------------------------------------------------------------------
 _SERIAL = SerialExecutor()
-_CACHE: "OrderedDict[Tuple[str, int], Executor]" = OrderedDict()
+_CACHE: "OrderedDict[int, SharedMemoryExecutor]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 #: Bound on the process-wide executor registry.  A long-lived server
-#: sweeping many (kind, workers) combinations would otherwise
-#: accumulate one worker pool per combination forever; past the bound,
-#: the least-recently-used *idle* executor is closed and evicted
-#: (busy executors are never reclaimed under a caller).
+#: sweeping many worker counts would otherwise accumulate one worker
+#: pool per count forever; past the bound, the least-recently-used
+#: *idle* executor is closed and evicted (busy executors are never
+#: reclaimed under a caller).
 MAX_CACHED_EXECUTORS = 4
 
 
-def _holds_live_shards(executor: Executor) -> bool:
+def _holds_live_shards(executor: SharedMemoryExecutor) -> bool:
     """Whether any live sharded runtime is registered on this executor.
 
     A sharded session's workers *own* their arena shards (slices of the
@@ -1161,11 +955,10 @@ def _holds_live_shards(executor: Executor) -> bool:
     executor would destroy them mid-session, so such executors are
     exempt even from :func:`shutdown_executors`.
     """
-    runtimes = getattr(executor, "_shard_runtimes", None)
-    return bool(runtimes) and any(not rt.closed for rt in runtimes)
+    return any(not rt.closed for rt in executor._shard_runtimes)
 
 
-def _reclaimable(executor: Executor) -> bool:
+def _reclaimable(executor: SharedMemoryExecutor) -> bool:
     """Whether eviction may close this executor right now.
 
     Not mid-session, not holding any live :class:`SweepChannel` -- a
@@ -1176,33 +969,25 @@ def _reclaimable(executor: Executor) -> bool:
     not holding any live sharded runtime, whose workers own resident
     arena shards.
     """
-    if executor.active_sessions:
-        return False
-    channels = getattr(executor, "_channels", None)
-    if channels and any(not channel.closed for channel in channels):
-        return False
-    if _holds_live_shards(executor):
-        return False
-    return True
+    return not (
+        executor.active_sessions
+        or any(not channel.closed for channel in executor._channels)
+        or _holds_live_shards(executor)
+    )
 
 
-def get_executor(kind: str, workers: int) -> Executor:
-    """A process-wide cached executor (pool reuse across queries)."""
+def get_executor(workers: int) -> Executor:
+    """The process-wide cached pool for ``workers`` processes (pool
+    reuse across queries); the serial executor for ``workers <= 1``."""
     workers = int(workers)
-    if kind == "serial" or workers <= 1:
+    if workers <= 1:
         return _SERIAL
-    key = (kind, workers)
     with _CACHE_LOCK:
-        cached = _CACHE.get(key)
+        cached = _CACHE.get(workers)
         if cached is not None:
-            _CACHE.move_to_end(key)
+            _CACHE.move_to_end(workers)
             return cached
-        if kind == "fork":
-            cached = ForkExecutor(workers)
-        elif kind == "shared_memory":
-            cached = SharedMemoryExecutor(workers)
-        else:
-            raise ConfigError(f"unknown executor kind {kind!r}")
+        cached = SharedMemoryExecutor(workers)
         while len(_CACHE) >= MAX_CACHED_EXECUTORS:
             victim_key = next(
                 (k for k, ex in _CACHE.items() if _reclaimable(ex)),
@@ -1211,7 +996,7 @@ def get_executor(kind: str, workers: int) -> Executor:
             if victim_key is None:
                 break  # every cached pool is in use: soft bound
             _CACHE.pop(victim_key).close()
-        _CACHE[key] = cached
+        _CACHE[workers] = cached
     return cached
 
 
@@ -1246,13 +1031,11 @@ def executor_registry_stats() -> Dict[str, object]:
             "bound": MAX_CACHED_EXECUTORS,
             "entries": [
                 {
-                    "kind": kind,
                     "workers": workers,
-                    "pool_started": bool(getattr(ex, "pool_started", False)
-                                         or getattr(ex, "_pool", None)),
+                    "pool_started": ex.pool_started,
                     "active_sessions": ex.active_sessions,
                 }
-                for (kind, workers), ex in _CACHE.items()
+                for workers, ex in _CACHE.items()
             ],
         }
 
@@ -1290,41 +1073,22 @@ atexit.register(_shutdown_at_exit)
 
 
 def resolve_executor(config=None, workers: Optional[int] = None,
-                     executor=None, workload: str = "sweep") -> Executor:
+                     executor: Optional[Executor] = None) -> Executor:
     """Map ``(config, overrides)`` to an executor instance.
 
-    ``executor`` may be an :class:`Executor` instance (used as-is), an
-    executor kind, or ``None`` (use ``config.executor``).  ``workers``
-    overrides ``config.workers``.  ``workload`` steers the ``"auto"``
-    choice: vectorized ``"sweep"`` workloads get the shared-memory
-    runtime; ``"pairs"`` / ``"queries"`` (dict engines, whole-query
-    sharding) prefer fork inheritance where the platform has it, since
-    their state crosses the boundary cheapest by copy-on-write.
-
-    A ``"fork"`` request on a platform without fork degrades to the
-    (spawn-capable) shared-memory executor instead of running serially.
+    ``executor`` (an :class:`Executor` instance) is used as-is;
+    otherwise ``workers`` (default ``config.workers``) picks the cached
+    pool of that size, or the serial executor for one worker.
     """
-    if isinstance(executor, Executor):
+    if executor is not None:
+        if not isinstance(executor, Executor):
+            raise ConfigError(
+                f"executor must be an Executor instance, got {executor!r}"
+            )
         return executor
-    kind = executor if executor is not None else getattr(
-        config, "executor", "auto"
-    )
-    if kind not in EXECUTOR_KINDS:
-        raise ConfigError(
-            f"executor must be one of {EXECUTOR_KINDS}, got {kind!r}"
-        )
     if workers is None:
         workers = getattr(config, "workers", 1)
     workers = int(workers)
     if workers < 1:
         raise ConfigError(f"workers must be positive, got {workers}")
-    if workers == 1 or kind == "serial":
-        return _SERIAL
-    if kind == "auto":
-        if workload in ("pairs", "queries") and fork_available():
-            kind = "fork"
-        else:
-            kind = "shared_memory"
-    if kind == "fork" and not fork_available():
-        kind = "shared_memory"
-    return get_executor(kind, workers)
+    return get_executor(workers)

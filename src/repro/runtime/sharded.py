@@ -828,11 +828,11 @@ def open_sharded_runtime(compiled, shards: int, tolerance: float = 0.0,
     )
 
 
-def run_sharded(compiled, shards: int, executor=None):
+def run_sharded(compiled, shards: int):
     """One-shot sharded fixed point over ``compiled``; falls back to the
     unsharded engine (bitwise identical) when sharding cannot be
     established.  Returns ``(scores, iterations, converged, deltas)``."""
-    runtime = open_sharded_runtime(compiled, shards, executor=executor)
+    runtime = open_sharded_runtime(compiled, shards)
     if runtime is not None:
         try:
             return runtime.iterate()

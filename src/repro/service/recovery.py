@@ -48,7 +48,7 @@ from repro.service.snapshot import (
     load_snapshot,
     restore_snapshot,
 )
-from repro.service.store import GraphStore
+from repro.service.store import GraphStore, apply_config_params
 from repro.service.wal import (
     DEFAULT_COMPACT_BYTES,
     WAL_FILENAME,
@@ -57,7 +57,6 @@ from repro.service.wal import (
     read_wal,
     repair_wal,
 )
-from repro.simulation.base import Variant
 from repro.streaming.delta import DeltaOp
 
 PathLike = Union[str, Path]
@@ -163,13 +162,13 @@ def _register_from_source(store: GraphStore, record: dict,
         return _restore_snapshot_tolerant(
             store, Path(source["snapshot"]), served_config, report
         ) is not None
-    config = store.default_config
-    params = source.get("params")
-    if params:
-        overrides = dict(params)
-        if "variant" in overrides:
-            overrides["variant"] = Variant(overrides["variant"])
-        config = config.with_options(**overrides)
+    try:
+        config = apply_config_params(store.default_config,
+                                     source.get("params"))
+    except ServiceError as exc:
+        logger.warning("register record for %r has unusable params: %s",
+                       name, exc)
+        return False
     if "path" in source:
         graph = load_graph(source["path"], name=name)
     elif "nodes" in source:

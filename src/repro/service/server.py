@@ -56,9 +56,8 @@ from repro.exceptions import (
 )
 from repro.service.replication import ReplicationHub, ReplicationTail
 from repro.service.scheduler import BATCHED_OPS, MicroBatchScheduler
-from repro.service.store import GraphStore
+from repro.service.store import GraphStore, apply_config_params
 from repro.service.wal import FaultInjector
-from repro.simulation.base import Variant
 
 
 # ----------------------------------------------------------------------
@@ -723,13 +722,8 @@ class FSimServer:
     async def _register(self, request: dict) -> dict:
         name = _require(request, "name")
         replace = bool(request.get("replace", False))
-        config = self.store.default_config
         params = request.get("params")
-        if params:
-            overrides = dict(params)
-            if "variant" in overrides:
-                overrides["variant"] = Variant(overrides["variant"])
-            config = config.with_options(**overrides)
+        config = apply_config_params(self.store.default_config, params)
         graph = await asyncio.get_running_loop().run_in_executor(
             None, self._build_graph, name, request
         )

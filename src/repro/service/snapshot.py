@@ -230,7 +230,7 @@ def adopt_snapshot_payload(
         config = payload["config"]
     elif session_state is not None:
         # Value-identical configs (the key matched) may still differ in
-        # runtime fields -- workers/executor -- which must come from
+        # runtime fields -- workers/shards -- which must come from
         # the *current* server flags, not the previous run's.  Rewrite
         # the session payload so state adoption sees the served config.
         session_state = dict(session_state)

@@ -65,11 +65,39 @@ JOURNAL_CAP = 4096
 RID_CAP = 4096
 
 #: Request parameters that may override a registered graph's config.
+#: Runtime fields (``workers``, ``shards``, ``arena_backend``) are
+#: absent on purpose: they size the server's own resources, so only
+#: the server's flags set them.
 CONFIG_PARAMS = (
     "variant", "w_out", "w_in", "label_function", "theta",
     "use_upper_bound", "alpha", "beta", "epsilon", "max_iterations",
     "matching_mode", "normalizer", "backend",
 )
+
+
+def apply_config_params(config: FSimConfig,
+                        params: Optional[dict]) -> FSimConfig:
+    """``config`` with client-supplied ``params`` applied.
+
+    Only :data:`CONFIG_PARAMS` keys are accepted; an unknown or runtime
+    key, or a value :class:`FSimConfig` rejects, raises
+    :class:`ServiceError`.
+    """
+    if not params:
+        return config
+    if not isinstance(params, dict):
+        raise ServiceError("config params must be a JSON object")
+    overrides = {}
+    for key, value in params.items():
+        if key not in CONFIG_PARAMS:
+            raise ServiceError(f"unknown config parameter {key!r}")
+        overrides[key] = value
+    try:
+        if "variant" in overrides:
+            overrides["variant"] = Variant(overrides["variant"])
+        return config.with_options(**overrides)
+    except (ConfigError, ValueError) as exc:
+        raise ServiceError(str(exc)) from exc
 
 
 def config_key(config: FSimConfig) -> tuple:
@@ -255,7 +283,6 @@ class GraphStore:
         result_cache_size: int = 256,
         session_mode: str = "replay",
         workers: Optional[int] = None,
-        executor: Optional[str] = None,
         shards: Optional[int] = None,
         wal: Optional[WriteAheadLog] = None,
         wal_compact_bytes: int = DEFAULT_COMPACT_BYTES,
@@ -264,8 +291,6 @@ class GraphStore:
         overrides = {}
         if workers is not None:
             overrides["workers"] = int(workers)
-        if executor is not None:
-            overrides["executor"] = executor
         if shards is not None:
             overrides["shards"] = int(shards)
         if overrides:
@@ -375,20 +400,7 @@ class GraphStore:
                        params: Optional[dict]) -> FSimConfig:
         """The effective config: graph1's registered default plus any
         per-request overrides from ``params``."""
-        config = self.graph(name).config
-        if not params:
-            return config
-        overrides = {}
-        for key, value in params.items():
-            if key not in CONFIG_PARAMS:
-                raise ServiceError(f"unknown config parameter {key!r}")
-            if key == "variant":
-                value = Variant(value)
-            overrides[key] = value
-        try:
-            return config.with_options(**overrides)
-        except ConfigError as exc:
-            raise ServiceError(str(exc)) from exc
+        return apply_config_params(self.graph(name).config, params)
 
     def pair(self, name1: str, name2: str,
              config: FSimConfig) -> PairState:

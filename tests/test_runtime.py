@@ -1,11 +1,12 @@
-"""Tests for the unified executor runtime (repro.runtime).
+"""Tests for the parallel runtime (repro.runtime).
 
-The load-bearing contract: every executor -- serial, fork-inheritance,
-persistent shared-memory -- produces **bitwise identical**
-``FSimResult``s (scores, iterations, per-iteration deltas) on both
-compute backends.  Plus the runtime's resource behavior: lazy pool
-creation (tiny workloads never spawn a process), pool reuse across
-queries, and graceful degradation where fork is unavailable.
+The load-bearing contract: the shared-memory worker pool produces
+**bitwise identical** ``FSimResult``s (scores, iterations,
+per-iteration deltas) to serial iteration on both compute backends,
+under both the fork and spawn start methods.  Plus the runtime's
+resource behavior: lazy pool creation (tiny workloads never spawn a
+process), pool reuse across queries, and graceful degradation for
+state the pool cannot ship.
 """
 
 import warnings
@@ -20,7 +21,6 @@ from repro.core.topk import TopKSearch
 from repro.exceptions import ConfigError
 from repro.graph.generators import random_graph, uniform_labels
 from repro.runtime import (
-    ForkExecutor,
     SerialExecutor,
     SharedMemoryExecutor,
     get_executor,
@@ -36,13 +36,6 @@ def shm_executor():
     """One persistent shared-memory executor shared by the module
     (threshold lowered so small test graphs actually hit the pool)."""
     ex = SharedMemoryExecutor(2, min_parallel_upd=1, min_parallel_pairs=1)
-    yield ex
-    ex.close()
-
-
-@pytest.fixture(scope="module")
-def fork_executor():
-    ex = ForkExecutor(2, min_parallel_upd=1, min_parallel_pairs=1)
     yield ex
     ex.close()
 
@@ -72,8 +65,7 @@ class TestExecutorParity:
         variant=st.sampled_from([Variant.S, Variant.B, Variant.BJ]),
     )
     def test_bitwise_identical_results(
-        self, shm_executor, fork_executor,
-        num_nodes, num_labels, seed, backend, variant,
+        self, shm_executor, num_nodes, num_labels, seed, backend, variant,
     ):
         graph = random_graph(
             num_nodes, 2 * num_nodes,
@@ -83,9 +75,8 @@ class TestExecutorParity:
             variant=variant, label_function="indicator", backend=backend,
         )
         serial = FSimEngine(graph, graph, cfg).run()
-        for executor in (shm_executor, fork_executor):
-            parallel = FSimEngine(graph, graph, cfg).run(executor=executor)
-            assert_identical(serial, parallel)
+        parallel = FSimEngine(graph, graph, cfg).run(executor=shm_executor)
+        assert_identical(serial, parallel)
 
     def test_parity_with_pruning(self, medium_random_graph, shm_executor):
         cfg = FSimConfig(
@@ -98,7 +89,7 @@ class TestExecutorParity:
         assert_identical(serial, parallel)
 
     def test_parity_with_pinned_pairs(self, medium_random_graph,
-                                      fork_executor, shm_executor):
+                                      shm_executor):
         g = medium_random_graph
         node = g.nodes()[0]
         for backend in ("python", "numpy"):
@@ -107,13 +98,12 @@ class TestExecutorParity:
                 pinned_pairs={(node, node): 1.0}, backend=backend,
             )
             serial = FSimEngine(g, g, cfg).run()
-            for executor in (fork_executor, shm_executor):
-                parallel = FSimEngine(g, g, cfg).run(executor=executor)
-                assert_identical(serial, parallel)
-                assert parallel.scores[(node, node)] == 1.0
+            parallel = FSimEngine(g, g, cfg).run(executor=shm_executor)
+            assert_identical(serial, parallel)
+            assert parallel.scores[(node, node)] == 1.0
 
     def test_num_candidates_excludes_foreign_pinned_pairs(
-        self, medium_random_graph, fork_executor
+        self, medium_random_graph, shm_executor
     ):
         """A pinned pair outside the candidate store must not inflate
         ``num_candidates`` on the parallel path (the legacy runner
@@ -132,7 +122,7 @@ class TestExecutorParity:
             pinned_pairs={foreign: 0.5}, backend="python",
         )
         serial = FSimEngine(g, g, cfg).run()
-        parallel = FSimEngine(g, g, cfg).run(executor=fork_executor)
+        parallel = FSimEngine(g, g, cfg).run(executor=shm_executor)
         assert parallel.num_candidates == serial.num_candidates
         assert parallel.scores[foreign] == 0.5
 
@@ -158,8 +148,7 @@ class TestSharedRuntimeLayers:
                 assert a.iterations == b.iterations
                 assert a.certified == b.certified
 
-    def test_query_sharding_parity(self, medium_random_graph, shm_executor,
-                                   fork_executor):
+    def test_query_sharding_parity(self, medium_random_graph, shm_executor):
         data = medium_random_graph
         queries = [
             random_graph(8, 14, uniform_labels(8, 3, seed=s), seed=s)
@@ -168,13 +157,12 @@ class TestSharedRuntimeLayers:
         serial = fsim_matrix_many(
             queries, data, "s", label_function="indicator"
         )
-        for executor in (fork_executor, shm_executor):
-            parallel = fsim_matrix_many(
-                queries, data, "s", label_function="indicator",
-                executor=executor,
-            )
-            for a, b in zip(serial, parallel):
-                assert_identical(a, b)
+        parallel = fsim_matrix_many(
+            queries, data, "s", label_function="indicator",
+            executor=shm_executor,
+        )
+        for a, b in zip(serial, parallel):
+            assert_identical(a, b)
 
     def test_shared_memory_pool_survives_batch_and_queries(
         self, medium_random_graph, shm_executor
@@ -222,25 +210,20 @@ class TestSharedRuntimeLayers:
 class TestPoolLifetime:
     def test_no_pool_spawn_for_tiny_workloads(self, small_random_graph):
         """A run whose sweeps all stay below the parallel threshold must
-        never fork/spawn a pool (the legacy runner forked one up
-        front)."""
+        never fork/spawn a pool."""
         g = small_random_graph
         cfg = FSimConfig(
             variant=Variant.S, label_function="indicator", backend="numpy",
         )
         shm = SharedMemoryExecutor(4)  # default threshold
-        fork = ForkExecutor(4)
         try:
             serial = FSimEngine(g, g, cfg).run()
-            for executor in (shm, fork):
-                parallel = FSimEngine(g, g, cfg).run(executor=executor)
-                assert_identical(serial, parallel)
+            parallel = FSimEngine(g, g, cfg).run(executor=shm)
+            assert_identical(serial, parallel)
             assert not shm.pool_started
             assert shm.pools_created == 0
-            assert fork.pools_created == 0
         finally:
             shm.close()
-            fork.close()
 
     def test_no_pool_spawn_for_tiny_dict_workloads(self):
         """The dict-engine pair path has the same lazy-pool guarantee:
@@ -252,53 +235,52 @@ class TestPoolLifetime:
             variant=Variant.S, label_function="indicator", backend="python",
         )
         shm = SharedMemoryExecutor(4)  # default thresholds
-        fork = ForkExecutor(4)
         try:
             serial = FSimEngine(g, g, cfg).run()
-            for executor in (shm, fork):
-                parallel = FSimEngine(g, g, cfg).run(executor=executor)
-                assert_identical(serial, parallel)
+            parallel = FSimEngine(g, g, cfg).run(executor=shm)
+            assert_identical(serial, parallel)
             assert not shm.pool_started
             assert shm.pools_created == 0
-            assert fork.pools_created == 0
         finally:
             shm.close()
-            fork.close()
 
     def test_serial_resolution(self):
         cfg = FSimConfig()
         assert isinstance(resolve_executor(cfg), SerialExecutor)
         assert isinstance(resolve_executor(cfg, workers=1), SerialExecutor)
         assert isinstance(
-            resolve_executor(cfg, workers=4, executor="serial"),
+            resolve_executor(cfg.with_options(workers=4), workers=1),
             SerialExecutor,
         )
 
     def test_registry_caches_instances(self):
-        first = get_executor("shared_memory", 3)
-        second = get_executor("shared_memory", 3)
+        first = get_executor(3)
+        second = get_executor(3)
         assert first is second
-        assert get_executor("shared_memory", 2) is not first
+        assert get_executor(2) is not first
 
     def test_executor_instance_passes_through(self, shm_executor):
         assert resolve_executor(None, 8, shm_executor) is shm_executor
+        with pytest.raises(ConfigError):
+            resolve_executor(None, 2, "shared_memory")
 
 
 # ----------------------------------------------------------------------
 # platform degradation
 # ----------------------------------------------------------------------
 class TestSpawnFallback:
-    def test_fork_request_degrades_to_shared_memory(self, monkeypatch):
-        """Platforms without fork get the (spawn-capable) shared-memory
-        executor instead of a warning plus serial execution."""
-        monkeypatch.setenv(executor_module.START_METHOD_ENV, "spawn")
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_resolve_to_the_shared_memory_pool(self, monkeypatch,
+                                                       method):
+        """``workers > 1`` always means the shared-memory pool, whatever
+        the start method."""
+        monkeypatch.setenv(executor_module.START_METHOD_ENV, method)
         shutdown_executors()
         try:
-            resolved = resolve_executor(None, workers=2, executor="fork")
-            assert resolved.kind == "shared_memory"
-            resolved = resolve_executor(None, workers=2, executor="auto",
-                                        workload="queries")
-            assert resolved.kind == "shared_memory"
+            assert executor_module.preferred_start_method() == method
+            resolved = resolve_executor(None, 2)
+            assert isinstance(resolved, SharedMemoryExecutor)
+            assert resolved.workers == 2
         finally:
             shutdown_executors()
 
@@ -347,14 +329,11 @@ class TestConfigPlumbing:
     def test_workers_validated(self):
         with pytest.raises(ConfigError):
             FSimConfig(workers=0)
-        with pytest.raises(ConfigError):
-            FSimConfig(executor="bogus")
 
     def test_config_workers_drive_run(self, small_random_graph):
         g = small_random_graph
         cfg = FSimConfig(
-            variant=Variant.S, label_function="indicator",
-            workers=2, executor="serial",
+            variant=Variant.S, label_function="indicator", workers=2,
         )
         result = FSimEngine(g, g, cfg).run()
         serial = FSimEngine(
@@ -367,18 +346,6 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             FSimEngine(g, g, FSimConfig()).run(workers=0)
 
-    def test_legacy_shims_still_work(self, medium_random_graph):
-        from repro.core import parallel as legacy
-
-        g = medium_random_graph
-        cfg = FSimConfig(variant=Variant.S, label_function="indicator")
-        engine = FSimEngine(g, g, cfg)
-        serial = engine.run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = legacy.run_parallel(FSimEngine(g, g, cfg), 2)
-        assert_identical(serial, shimmed)
-
 
 # ----------------------------------------------------------------------
 # concurrent sessions on one cached executor
@@ -386,8 +353,8 @@ class TestConfigPlumbing:
 class TestConcurrentSessions:
     def test_threads_sharing_one_executor_stay_bitwise_correct(self):
         """Two threads running sessions on the same cached executor must
-        not clobber each other's sweep state (per-session buffers,
-        token-keyed fork staging)."""
+        not clobber each other's sweep state (per-session buffers and
+        broadcast blocks)."""
         import threading
 
         graphs = [
@@ -555,7 +522,7 @@ class TestRegistryBounds:
         cfg = FSimConfig(
             variant=Variant.S, label_function="indicator", backend="numpy",
         )
-        ex = get_executor("shared_memory", 2)
+        ex = get_executor(2)
         ex.min_parallel_upd = 1  # force the pool to actually spawn
         serial = FSimEngine(g, g, cfg).run()
         parallel = FSimEngine(g, g, cfg).run(executor=ex)
@@ -566,18 +533,18 @@ class TestRegistryBounds:
         closed = evict_idle_executors(0.0)
         assert closed == 1
         assert not ex.pool_started  # pool terminated
-        assert get_executor("shared_memory", 2) is not ex  # evicted
+        assert get_executor(2) is not ex  # evicted
         shutdown_executors()
 
     def test_idle_grace_period_is_respected(self):
         from repro.runtime import evict_idle_executors
 
         shutdown_executors()
-        ex = get_executor("shared_memory", 2)
+        ex = get_executor(2)
         # A just-created, never-used executor is inside the grace
         # period too (last_used is stamped at construction).
         assert evict_idle_executors(3600.0) == 0
-        assert get_executor("shared_memory", 2) is ex
+        assert get_executor(2) is ex
         shutdown_executors()
 
     def test_live_channels_block_eviction(self):
@@ -587,10 +554,10 @@ class TestRegistryBounds:
         from repro.runtime import evict_idle_executors
 
         shutdown_executors()
-        ex = get_executor("shared_memory", 2)
+        ex = get_executor(2)
         channel = ex.open_channel()
         assert evict_idle_executors(0.0) == 0
-        assert get_executor("shared_memory", 2) is ex
+        assert get_executor(2) is ex
         channel.close()
         assert evict_idle_executors(0.0) == 1
         shutdown_executors()
@@ -598,24 +565,24 @@ class TestRegistryBounds:
     def test_registry_bound_evicts_lru_idle(self, monkeypatch):
         shutdown_executors()
         monkeypatch.setattr(executor_module, "MAX_CACHED_EXECUTORS", 2)
-        first = get_executor("shared_memory", 2)
-        second = get_executor("shared_memory", 3)
-        third = get_executor("shared_memory", 4)  # evicts `first` (LRU)
+        first = get_executor(2)
+        second = get_executor(3)
+        third = get_executor(4)  # evicts `first` (LRU)
         registry = executor_module._CACHE
         assert len(registry) <= 2
-        assert ("shared_memory", 2) not in registry
-        assert get_executor("shared_memory", 3) is second
-        assert get_executor("shared_memory", 4) is third
+        assert 2 not in registry
+        assert get_executor(3) is second
+        assert get_executor(4) is third
         shutdown_executors()
 
     def test_busy_executors_survive_the_bound(self, monkeypatch):
         shutdown_executors()
         monkeypatch.setattr(executor_module, "MAX_CACHED_EXECUTORS", 1)
-        first = get_executor("shared_memory", 2)
+        first = get_executor(2)
         first.active_sessions += 1  # simulate an open session
         try:
-            second = get_executor("shared_memory", 3)
-            assert get_executor("shared_memory", 2) is first  # not evicted
+            second = get_executor(3)
+            assert get_executor(2) is first  # not evicted
             assert second is not first
         finally:
             first.active_sessions -= 1
@@ -624,8 +591,8 @@ class TestRegistryBounds:
     def test_shutdown_all_clears_registry(self):
         from repro.runtime import shutdown_all
 
-        ex = get_executor("shared_memory", 2)
+        ex = get_executor(2)
         shutdown_all()
         assert executor_module._CACHE == {}
-        assert get_executor("shared_memory", 2) is not ex
+        assert get_executor(2) is not ex
         shutdown_executors()

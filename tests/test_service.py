@@ -249,6 +249,61 @@ class TestServer:
                 )
                 assert wire_scores(result) == direct.scores
 
+    def test_register_rejects_runtime_and_unknown_params(self):
+        """``register`` applies client params through the same
+        whitelist as per-request overrides: a key that would size the
+        server's own pools, an unknown key or an invalid value gets a
+        typed error and registers nothing."""
+        store = GraphStore(default_config=numpy_config())
+        inline = dict(nodes=[["a", "L"], ["b", "L"]], edges=[["a", "b"]])
+        rejected = (
+            ({"workers": 3}, "unknown config parameter 'workers'"),
+            ({"shards": 2}, "unknown config parameter 'shards'"),
+            ({"executor": "fork"}, "unknown config parameter 'executor'"),
+            ({"bogus": 1}, "unknown config parameter 'bogus'"),
+            ({"theta": 7.0}, "theta must be in"),
+            ({"variant": "zz"}, "zz"),
+        )
+        with ServerThread(store) as server:
+            with ServiceClient(port=server.port) as client:
+                for params, message in rejected:
+                    with pytest.raises(ServiceError, match=message):
+                        client.register("g", params=params, **inline)
+                assert client.graphs() == []
+                client.register("g", params={"theta": 1.0}, **inline)
+                assert client.graphs() == ["g"]
+                served = store.graph("g").config
+                assert served.theta == 1.0
+                assert served.workers == 1
+                assert "executor" not in vars(served)
+
+    def test_recovery_skips_register_records_with_runtime_params(
+            self, tmp_path):
+        """A WAL register record carrying a runtime key (written before
+        the whitelist) does not size the recovered server's pools: the
+        graph is reported lost instead."""
+        from repro.service import recover_store
+        from repro.service.wal import WAL_FILENAME, WriteAheadLog
+
+        nodes = [[i, 0] for i in range(4)]
+        (tmp_path / WAL_FILENAME).write_bytes(b"".join([
+            WriteAheadLog.encode({"kind": "register", "graph": "bad",
+                                  "source": {"nodes": nodes, "edges": [],
+                                             "params": {"workers": 3}},
+                                  "replace": False, "seq": 1}),
+            WriteAheadLog.encode({"kind": "register", "graph": "good",
+                                  "source": {"nodes": nodes, "edges": [],
+                                             "params": {"theta": 1.0}},
+                                  "replace": False, "seq": 2}),
+        ]))
+        recovered, report = recover_store(tmp_path, config=numpy_config(),
+                                          attach=False)
+        assert recovered.graph_names() == ["good"]
+        assert report.lost_graphs == ["bad"]
+        assert recovered.graph("good").config.theta == 1.0
+        assert recovered.graph("good").config.workers == 1
+        recovered.close()
+
     def test_topk_requests_coalesce_into_one_batch(self):
         store = GraphStore(default_config=numpy_config())
         graph = make_graph(num_nodes=24, num_edges=70)
@@ -402,6 +457,31 @@ class TestSnapshots:
         assert result.scores == direct.scores
         assert result.deltas == direct.deltas
         fresh.close()
+
+    def test_snapshot_with_legacy_executor_field_restores(self,
+                                                          tmp_path):
+        """Snapshots written while ``FSimConfig`` still had an
+        ``executor`` field restore and serve bitwise-identical scores,
+        with or without a served config to check against."""
+        path = tmp_path / "g.snap"
+        store = GraphStore(default_config=numpy_config())
+        store.register("g", make_graph())
+        warm = store.fsim("g", "g")
+        object.__setattr__(store.graph("g").config, "executor", "fork")
+        save_snapshot(store, "g", path)
+        store.close()
+
+        for served in (None, numpy_config()):
+            fresh = GraphStore(default_config=numpy_config())
+            restore_snapshot(fresh, path, graph=make_graph(), config=served)
+            restored = fresh.fsim("g", "g")
+            assert restored.scores == warm.scores
+            assert restored.iterations == warm.iterations
+            assert restored.deltas == warm.deltas
+            fresh.close()
+        live = make_graph()
+        direct = fsim_matrix(live, live, config=numpy_config())
+        assert warm.scores == direct.scores
 
     def test_stale_snapshot_is_rejected(self, tmp_path):
         path = tmp_path / "g.snap"

@@ -427,16 +427,16 @@ class TestExecutorShardGuard:
 
     def test_eviction_and_shutdown_skip_live_sharded_session(self):
         shutdown_executors()
-        ex = get_executor("shared_memory", 2)
+        ex = get_executor(2)
         compiled = self._compiled()
         runtime = ShardedSweepRuntime(
             compiled, partition_pairs(compiled, 2), executor=ex
         )
         try:
             assert evict_idle_executors(0.0) == 0
-            assert get_executor("shared_memory", 2) is ex
+            assert get_executor(2) is ex
             shutdown_all()  # the regression: must not destroy the session
-            assert get_executor("shared_memory", 2) is ex
+            assert get_executor(2) is ex
             assert not runtime.closed
             # ...and the session still works after the sweep.
             ref = VectorizedFSimEngine(compiled).iterate()
@@ -445,7 +445,7 @@ class TestExecutorShardGuard:
             runtime.close()
         # Once the session closes, the executor is ordinary again.
         assert evict_idle_executors(0.0) >= 1
-        assert executor_module._CACHE.get(("shared_memory", 2)) is None
+        assert executor_module._CACHE.get(2) is None
         shutdown_executors()
 
     def test_closing_executor_closes_registered_runtimes(self):
@@ -461,7 +461,7 @@ class TestExecutorShardGuard:
     def test_capacity_eviction_spares_shard_holder(self, monkeypatch):
         shutdown_executors()
         monkeypatch.setattr(executor_module, "MAX_CACHED_EXECUTORS", 1)
-        ex = get_executor("shared_memory", 2)
+        ex = get_executor(2)
         compiled = self._compiled()
         runtime = ShardedSweepRuntime(
             compiled, partition_pairs(compiled, 2), executor=ex
@@ -469,8 +469,8 @@ class TestExecutorShardGuard:
         try:
             # Inserting another executor at capacity must not evict the
             # shard holder (soft bound instead).
-            get_executor("shared_memory", 3)
-            assert executor_module._CACHE.get(("shared_memory", 2)) is ex
+            get_executor(3)
+            assert executor_module._CACHE.get(2) is ex
             assert not runtime.closed
         finally:
             runtime.close()
