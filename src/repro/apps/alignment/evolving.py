@@ -129,11 +129,10 @@ class EvolvingAlignmentSession:
     place; after every :meth:`step`, the FSim scores against the
     reference are brought up to date through one
     :class:`~repro.streaming.session.IncrementalFSim` session (bitwise
-    identical to recomputing from scratch in the default ``replay``
-    mode) and projected to the paper's argmax alignment.
+    identical to recomputing from scratch) and projected to the paper's argmax alignment.
     """
 
-    def __init__(self, base: LabeledDigraph, config=None, mode: str = "replay"):
+    def __init__(self, base: LabeledDigraph, config=None):
         from repro.core.config import FSimConfig
         from repro.simulation.base import Variant
         from repro.streaming.session import IncrementalFSim
@@ -144,7 +143,7 @@ class EvolvingAlignmentSession:
             variant=Variant.B, label_function="indicator", theta=1.0
         )
         self.session = IncrementalFSim(
-            self.current, self.reference, self.config, mode=mode
+            self.current, self.reference, self.config
         )
 
     def step(

@@ -152,8 +152,7 @@ def _cmd_stream(args) -> int:
     with open(args.script, "r", encoding="utf-8") as handle:
         script = parse_edit_script(handle)
     session = IncrementalFSim(
-        graph1, graph2, config, mode=args.mode,
-        workers=args.workers, shards=args.shards,
+        graph1, graph2, config, workers=args.workers, shards=args.shards,
     )
     start = time.perf_counter()
     result = session.compute()
@@ -263,7 +262,7 @@ def _cmd_serve(args) -> int:
         if snapshot_path and snapshot_path.exists():
             try:
                 restore_snapshot(store, snapshot_path, graph=graph,
-                                 name=name, config=config)
+                                 name=name, config=store.default_config)
                 print(f"# {name}: restored warm snapshot {snapshot_path}")
                 continue
             except SnapshotError as exc:
@@ -794,11 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--batch", type=int, default=1,
         help="ops applied between recomputes (default 1)",
-    )
-    stream.add_argument(
-        "--mode", choices=["replay", "warm"], default="replay",
-        help="replay = bitwise-exact incremental recomputation; "
-             "warm = epsilon-accurate warm start",
     )
     stream.add_argument(
         "--variant", choices=[v.value for v in Variant if v is not Variant.CROSS],

@@ -243,21 +243,10 @@ class VectorizedFSimEngine:
     def iterate(
         self,
         sweep: Optional[SweepFn] = None,
-        scores_init: Optional[np.ndarray] = None,
-        upd0: Optional[np.ndarray] = None,
         trajectory: Optional[List[np.ndarray]] = None,
     ) -> Tuple[np.ndarray, int, bool, List[float]]:
         """Run Algorithm 1 to convergence; returns
         ``(scores, iterations, converged, deltas)``.
-
-        ``scores_init`` / ``upd0`` warm-start the fixed point (Theorem 1
-        guarantees convergence from any starting vector): iteration
-        begins from the given arena score array with only the given
-        ``upd_arena`` positions scheduled, instead of the
-        L-initialization with everything scheduled.  The streaming layer
-        (:mod:`repro.streaming`) uses this to resume from a previous
-        result after a graph delta, seeding the scheduler with the
-        delta's frontier.
 
         When ``trajectory`` is a list, a copy of the full arena score
         array is appended before the first sweep and after every sweep
@@ -267,14 +256,8 @@ class VectorizedFSimEngine:
         """
         compiled = self.compiled
         sweep = sweep or self.sweep
-        if scores_init is None:
-            scores = compiled.scores0.copy()
-        else:
-            scores = np.array(scores_init, dtype=np.float64, copy=True)
-        if upd0 is None:
-            upd = np.arange(len(compiled.upd_arena), dtype=np.int64)
-        else:
-            upd = np.unique(np.asarray(upd0, dtype=np.int64))
+        scores = compiled.scores0.copy()
+        upd = np.arange(len(compiled.upd_arena), dtype=np.int64)
         if trajectory is not None:
             trajectory.append(scores.copy())
         from repro.obs.profiling import observe_iterations, phase

@@ -196,20 +196,18 @@ def _shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _transportable_vectorized(vectorized) -> Optional[bytes]:
-    """The pickled sweep-session payload, or ``None`` when unpicklable.
+def _dumps_compiled(compiled, wrap) -> bytes:
+    """Pickle ``wrap(compiled)`` for the workers.
 
     Workers never call the label / init / filter callables (those are
-    lowered into the compiled arrays), so an unpicklable callable in the
-    config is replaced with a registered name before giving up.
+    lowered into the compiled arrays), so when the config holds an
+    unpicklable callable the payload is retried with a copy of the
+    instance whose config names a registered label function instead.
+    Raises when even that copy cannot be pickled.
     """
-    compiled = vectorized.compiled
-    tolerance = float(vectorized.dirty_tolerance)
     try:
-        return _dumps({"sweep": (compiled, tolerance)})
+        return _dumps(wrap(compiled))
     except Exception:
-        pass
-    try:
         from dataclasses import replace
 
         clone = copy.copy(compiled)
@@ -219,7 +217,17 @@ def _transportable_vectorized(vectorized) -> Optional[bytes]:
             init_function=None,
             candidate_filter=None,
         )
-        return _dumps({"sweep": (clone, tolerance)})
+        return _dumps(wrap(clone))
+
+
+def _transportable_vectorized(vectorized) -> Optional[bytes]:
+    """The pickled sweep-session payload, or ``None`` when unpicklable."""
+    tolerance = float(vectorized.dirty_tolerance)
+    try:
+        return _dumps_compiled(
+            vectorized.compiled,
+            lambda compiled: {"sweep": (compiled, tolerance)},
+        )
     except Exception:
         return None
 
@@ -297,40 +305,23 @@ def _replay_patch_journal(entry: dict, delta_name: str,
     """Bring a cached sweep session up to date with the parent's patches.
 
     The parent broadcasts the full compiled state once per channel and
-    then ships only the recorded graph deltas (see :class:`SweepChannel`).
-    Replaying ``patch_plan`` + ``patch_compiled_edges`` on the worker's
-    cached copy is deterministic, so after the replay the worker holds
-    arrays identical to the parent's -- at O(delta) broadcast cost.
+    then ships only the recorded graph deltas (see :class:`SweepChannel`);
+    :func:`~repro.streaming.patch.replay_journal_entry` leaves the
+    worker's cached copy identical to the parent's -- at O(delta)
+    broadcast cost.
     """
     if journal_len <= entry["applied"]:
         return
-    from repro.core.plan import patch_plan
-    from repro.streaming.delta import Delta
-    from repro.streaming.patch import patch_compiled_edges
+    from repro.streaming.patch import replay_journal_entry
 
     journal = _read_payload(delta_name)["journal"]
     compiled, _tolerance = entry["state"]["sweep"]
-    for ops1, ops2, selfsim in journal[entry["applied"]:journal_len]:
-        plan1 = (patch_plan(compiled.plan1, _as_ops(ops1))
-                 if ops1 else compiled.plan1)
-        if selfsim:
-            plan2 = plan1
-        else:
-            plan2 = (patch_plan(compiled.plan2, _as_ops(ops2))
-                     if ops2 else compiled.plan2)
-        delta1 = Delta(_as_ops(ops1), 0, len(ops1))
-        delta2 = delta1 if selfsim else Delta(_as_ops(ops2), 0, len(ops2))
-        patch_compiled_edges(compiled, plan1, plan2, delta1, delta2)
+    for patch in journal[entry["applied"]:journal_len]:
+        replay_journal_entry(compiled, patch)
     entry["applied"] = journal_len
     # The engine caches per-structure state keyed on the pre-patch
     # structures -- rebuild it from the patched compiled instance.
     entry["state"].pop("engine", None)
-
-
-def _as_ops(raw) -> tuple:
-    from repro.streaming.delta import DeltaOp
-
-    return tuple(DeltaOp(*fields) for fields in raw)
 
 
 def _shm_sweep_worker(task) -> None:
@@ -459,11 +450,9 @@ class SweepChannel:
         if len(self._journal) >= CHANNEL_JOURNAL_BUDGET:
             self.invalidate()
             return
-        self._journal.append((
-            tuple(tuple(op) for op in delta1.ops),
-            tuple(tuple(op) for op in delta2.ops),
-            bool(selfsim),
-        ))
+        from repro.streaming.patch import journal_entry
+
+        self._journal.append(journal_entry(delta1, delta2, selfsim))
 
     def invalidate(self) -> None:
         """Drop the broadcast state (full recompile, unsupported delta):

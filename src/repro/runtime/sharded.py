@@ -30,10 +30,10 @@ stay O(delta): the parent patches its full compiled instance, appends
 the delta to a journal (the :class:`~repro.runtime.executor.SweepChannel`
 mechanism), re-derives the halo from the patched dependency structures
 and ships only the journal + halo layout; each worker replays the same
-deterministic patch surgery on its slice.  After a structural edit a
-sharded session re-iterates cold -- bitwise equal to the replay-mode
-trajectory, since the replay reproduces the cold trajectory by
-construction.
+deterministic patch surgery on its slice.  A sharded session keeps no
+replay trajectory: after every edit it re-runs the fixed point cold on
+the patched slices, which is bitwise equal to the unsharded session's
+trajectory replay (the replay reproduces the cold run by construction).
 
 :class:`InProcessShardRunner` drives the identical
 :class:`_ShardWorkerState` protocol inside one process (no pools, no
@@ -57,9 +57,9 @@ from repro.runtime.executor import (
     MIN_PARALLEL_UPD,
     _ParentBuffer,
     _PayloadBlock,
-    _as_ops,
     _attach_block,
     _dumps,
+    _dumps_compiled,
     _read_payload,
     preferred_start_method,
 )
@@ -167,28 +167,15 @@ class _ShardWorkerState:
         own = self.compiled.upd_arena
         out[own] = self.scores[own]
 
-    def apply_patch(self, ops1, ops2, selfsim: bool) -> None:
+    def apply_patch(self, patch: tuple) -> None:
         """Replay one journaled graph delta on this shard's slice."""
-        from repro.core.plan import patch_plan
-        from repro.streaming.delta import Delta
-        from repro.streaming.patch import patch_compiled_edges
+        from repro.core.vectorized import VectorizedFSimEngine
+        from repro.streaming.patch import replay_journal_entry
 
-        compiled = self.compiled
-        plan1 = (patch_plan(compiled.plan1, _as_ops(ops1))
-                 if ops1 else compiled.plan1)
-        if selfsim:
-            plan2 = plan1
-        else:
-            plan2 = (patch_plan(compiled.plan2, _as_ops(ops2))
-                     if ops2 else compiled.plan2)
-        delta1 = Delta(_as_ops(ops1), 0, len(ops1))
-        delta2 = delta1 if selfsim else Delta(_as_ops(ops2), 0, len(ops2))
-        patch_compiled_edges(compiled, plan1, plan2, delta1, delta2)
+        replay_journal_entry(self.compiled, patch)
         # The engine caches per-structure slot state keyed on the
         # pre-patch structures -- rebuild it on the patched slice.
-        from repro.core.vectorized import VectorizedFSimEngine
-
-        self.engine = VectorizedFSimEngine(compiled, self.tolerance)
+        self.engine = VectorizedFSimEngine(self.compiled, self.tolerance)
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +227,8 @@ def _replay_shard_journal(entry: dict, delta_name: str,
         return
     payload = _read_payload(delta_name)
     state = entry["state"]
-    for ops1, ops2, selfsim in payload["journal"][entry["applied"]:journal_len]:
-        state.apply_patch(ops1, ops2, selfsim)
+    for patch in payload["journal"][entry["applied"]:journal_len]:
+        state.apply_patch(patch)
     entry["applied"] = journal_len
     version = payload.get("halo_version", 0)
     if version != entry["halo_version"]:
@@ -446,35 +433,17 @@ class ShardedSweepRuntime:
         compiled_slice = self.compiled.build_row_subset(
             self.partition.positions[shard]
         )
-        payload = {
-            "slice": compiled_slice,
-            "tolerance": self.tolerance,
-            "halo_ids": self._halo_ids,
-            "halo_owner": self._halo_owner,
-            "shard": shard,
-            "arena_backend": self.compiled.config.arena_backend,
-        }
         try:
-            return _dumps(payload)
-        except Exception:
-            # Unpicklable callables in the config are never invoked by
-            # workers (they are lowered into the arrays); strip them the
-            # same way the shared-memory executor does.
-            import copy as _copy
-            from dataclasses import replace
-
-            clone = _copy.copy(compiled_slice)
-            clone.config = replace(
-                clone.config,
-                label_function="indicator",
-                init_function=None,
-                candidate_filter=None,
-            )
-            payload["slice"] = clone
-            try:
-                return _dumps(payload)
-            except Exception as exc:
-                raise ShardedUnavailable(str(exc)) from exc
+            return _dumps_compiled(compiled_slice, lambda clone: {
+                "slice": clone,
+                "tolerance": self.tolerance,
+                "halo_ids": self._halo_ids,
+                "halo_owner": self._halo_owner,
+                "shard": shard,
+                "arena_backend": self.compiled.config.arena_backend,
+            })
+        except Exception as exc:
+            raise ShardedUnavailable(str(exc)) from exc
 
     def _ensure_published(self) -> None:
         if self._blocks is not None:
@@ -540,11 +509,9 @@ class ShardedSweepRuntime:
         if len(self._journal) >= CHANNEL_JOURNAL_BUDGET:
             self.invalidate()
             return False
-        self._journal.append((
-            tuple(tuple(op) for op in delta1.ops),
-            tuple(tuple(op) for op in delta2.ops),
-            bool(selfsim),
-        ))
+        from repro.streaming.patch import journal_entry
+
+        self._journal.append(journal_entry(delta1, delta2, selfsim))
         self._refresh_halo()
         try:
             payload = _dumps({
@@ -756,10 +723,11 @@ class InProcessShardRunner:
     def apply_patch(self, delta1, delta2, selfsim: bool) -> None:
         """Replay one graph delta on every slice (the caller has already
         patched the full compiled instance) and refresh the halo."""
-        ops1 = tuple(tuple(op) for op in delta1.ops)
-        ops2 = tuple(tuple(op) for op in delta2.ops)
+        from repro.streaming.patch import journal_entry
+
+        patch = journal_entry(delta1, delta2, selfsim)
         for state in self.states:
-            state.apply_patch(ops1, ops2, selfsim)
+            state.apply_patch(patch)
         halo_ids, halo_owner, _ = compute_halo(
             self.compiled, self.partition.owner, self.partition.arena_owner
         )

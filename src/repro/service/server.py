@@ -904,8 +904,7 @@ class FSimServer:
                     pickle.dumps(payload,
                                  protocol=pickle.HIGHEST_PROTOCOL)
                 ).decode("ascii")
-            return {"graphs": payloads, "last_seq": last_seq,
-                    "session_mode": self.store.session_mode}
+            return {"graphs": payloads, "last_seq": last_seq}
 
         async with self.scheduler.exclusive(self.store.graph_names()):
             return await asyncio.get_running_loop().run_in_executor(

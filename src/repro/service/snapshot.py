@@ -110,7 +110,6 @@ def build_snapshot_payload(store: GraphStore, name: str,
         "config": config,
         "graph": registered.graph,
         "plan": plan,
-        "session_mode": store.session_mode,
         "session_state": session_state,
         "result": result,
         "wal_seq": registered.wal_seq,
@@ -255,13 +254,12 @@ def adopt_snapshot_payload(
         adopt_plan(graph, payload["plan"])
     if payload.get("result") is not None:
         pair = PairState(registered, registered, config,
-                         payload.get("session_mode", store.session_mode),
                          store.result_cache_size)
         if session_state is not None and pair.session is not None:
             try:
                 pair.session.adopt_state(session_state)
             except ConfigError:
-                pass  # mode/config drift: serve cold, still correct
+                pass  # config drift: serve cold, still correct
         pair.results.put(("fsim", pair.versions()), payload["result"])
         store.adopt_pair(pair)
     store.restored_snapshots += 1

@@ -22,7 +22,7 @@ One :class:`GraphStore` owns everything a long-lived server keeps warm:
   micro-batching scheduler calls under per-graph locks.
 
 Every answer is exactly what the corresponding direct library call
-would return: sessions run in bitwise-exact ``replay`` mode by default,
+would return: streaming sessions are bitwise identical to a cold run,
 ``search_many`` results are independent of batch composition, and the
 version-keyed caches can only serve values computed on the very graph
 state being queried.
@@ -226,7 +226,7 @@ class PairState:
     """Warm state of one queried (graph1, graph2, config) combination."""
 
     def __init__(self, reg1: RegisteredGraph, reg2: RegisteredGraph,
-                 config: FSimConfig, mode: str, cache_size: int):
+                 config: FSimConfig, cache_size: int):
         self.reg1 = reg1
         self.reg2 = reg2
         self.config = config
@@ -240,9 +240,7 @@ class PairState:
         self.synced2 = reg2.graph.version
         if config.backend != "python" \
                 and vectorized_fallback_reason(config) is None:
-            self.session = IncrementalFSim(
-                reg1.graph, reg2.graph, config, mode=mode
-            )
+            self.session = IncrementalFSim(reg1.graph, reg2.graph, config)
 
     def versions(self) -> Tuple[int, int]:
         return (self.reg1.graph.version, self.reg2.graph.version)
@@ -281,7 +279,6 @@ class GraphStore:
         default_config: Optional[FSimConfig] = None,
         max_pairs: int = 32,
         result_cache_size: int = 256,
-        session_mode: str = "replay",
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         wal: Optional[WriteAheadLog] = None,
@@ -296,7 +293,6 @@ class GraphStore:
         if overrides:
             base = base.with_options(**overrides)
         self.default_config = base
-        self.session_mode = session_mode
         self.max_pairs = max(int(max_pairs), 1)
         self.result_cache_size = int(result_cache_size)
         self._graphs: Dict[str, RegisteredGraph] = {}
@@ -413,8 +409,7 @@ class GraphStore:
             if state is not None:
                 self._pairs.move_to_end(key)
                 return state
-            state = PairState(reg1, reg2, config, self.session_mode,
-                              self.result_cache_size)
+            state = PairState(reg1, reg2, config, self.result_cache_size)
             while len(self._pairs) >= self.max_pairs:
                 _, evicted = self._pairs.popitem(last=False)
                 evicted.close()

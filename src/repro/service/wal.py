@@ -72,7 +72,7 @@ CONTROL_KINDS = ("unregister", "checkpoint")
 #: cost is O(suffix), not O(history).
 DEFAULT_COMPACT_BYTES = 4 << 20
 
-SYNC_MODES = ("always", "batch", "off")
+SYNC_POLICIES = ("always", "batch", "off")
 
 
 # ----------------------------------------------------------------------
@@ -355,10 +355,10 @@ class WriteAheadLog:
         path = Path(path)
         if path.is_dir():
             path = path / WAL_FILENAME
-        if sync not in SYNC_MODES:
+        if sync not in SYNC_POLICIES:
             raise WalError(
                 f"unknown wal sync mode {sync!r} (choose from "
-                f"{', '.join(SYNC_MODES)})"
+                f"{', '.join(SYNC_POLICIES)})"
             )
         self.path = path
         self.sync = sync

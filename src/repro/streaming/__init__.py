@@ -9,11 +9,14 @@ Layering (bottom up):
   cached per-graph lowering by array surgery (one memcpy-bound
   splice per op, vs the per-node Python loops of a fresh lowering);
 - :mod:`repro.streaming.patch` -- ``patch_compiled_edges`` splices the
-  touched rows of a compiled FSim instance for edge-only deltas;
-- :mod:`repro.streaming.session` -- :class:`IncrementalFSim` resumes the
-  fixed point from the previous run: bitwise-exact trajectory replay
-  (``mode="replay"``) or epsilon-accurate warm starting
-  (``mode="warm"``).
+  touched rows of a compiled FSim instance for edge-only deltas, and
+  ``journal_entry`` / ``replay_journal_entry`` let worker-side copies
+  (pool sweeps, shards) follow the same patch from its ops alone;
+- :mod:`repro.streaming.session` -- :class:`IncrementalFSim` brings the
+  fixed point up to date with one rule, bitwise identical to a cold
+  run either way: replay the stored Jacobi trajectory when it fits
+  ``max_trajectory_mb`` (unsharded sessions only), else re-run the
+  patched arena cold.
 
 See docs/PERF.md ("The streaming subsystem") and docs/ARCHITECTURE.md.
 """

@@ -45,8 +45,8 @@ from repro.core.compile import (
     _empty_conventions,
     _omega,
 )
-from repro.core.plan import GraphPlan
-from repro.streaming.delta import Delta
+from repro.core.plan import GraphPlan, patch_plan
+from repro.streaming.delta import Delta, DeltaOp
 
 #: Rebuild a matching term outright once dead slot ranges exceed this
 #: multiple of the live slot count (bounds stamp-array bloat over long
@@ -274,6 +274,36 @@ def patch_compiled_edges(
     else:
         compiled._dep_stale_rows = stale
     return touched
+
+
+def journal_entry(delta1: Delta, delta2: Delta, selfsim: bool) -> tuple:
+    """The picklable wire form of one applied patch: each side's ops as
+    plain tuples plus the self-similarity flag.  Workers follow it with
+    :func:`replay_journal_entry`."""
+    return (tuple(tuple(op) for op in delta1.ops),
+            tuple(tuple(op) for op in delta2.ops),
+            bool(selfsim))
+
+
+def replay_journal_entry(compiled: CompiledFSim, entry: tuple) -> np.ndarray:
+    """Make a worker's compiled copy follow one :func:`journal_entry`.
+
+    Patches both graph plans, rebuilds the deltas and runs
+    :func:`patch_compiled_edges`.  The surgery is deterministic, so the
+    copy ends up with arrays identical to the parent's patched instance.
+    Returns the touched ``upd_arena`` positions.
+    """
+    raw1, raw2, selfsim = entry
+    ops1 = tuple(DeltaOp(*fields) for fields in raw1)
+    ops2 = tuple(DeltaOp(*fields) for fields in raw2)
+    plan1 = patch_plan(compiled.plan1, ops1) if ops1 else compiled.plan1
+    delta1 = Delta(ops1, 0, len(ops1))
+    if selfsim:
+        plan2, delta2 = plan1, delta1
+    else:
+        plan2 = patch_plan(compiled.plan2, ops2) if ops2 else compiled.plan2
+        delta2 = Delta(ops2, 0, len(ops2))
+    return patch_compiled_edges(compiled, plan1, plan2, delta1, delta2)
 
 
 def _freeze_dependency_snapshot(compiled: CompiledFSim) -> None:

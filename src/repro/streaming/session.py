@@ -12,28 +12,24 @@ instead:
 - on :meth:`IncrementalFSim.compute`, the drained delta is pushed down
   the stack: the cached :class:`~repro.core.plan.GraphPlan` is patched
   by array surgery -- one memcpy-bound splice per op
-  (:func:`repro.core.plan.patch_cached_plan`) --,
-  the compiled instance is patched row-wise for edge-only deltas
-  (:func:`repro.streaming.patch.patch_compiled_edges`), and the fixed
-  point is resumed rather than restarted.
+  (:func:`repro.core.plan.patch_cached_plan`) --, and the compiled
+  instance is patched row-wise for edge-only deltas
+  (:func:`repro.streaming.patch.patch_compiled_edges`) or recompiled
+  for node/label churn.
 
-Two resumption modes:
+One resume rule then brings the scores up to date, always **bitwise
+identical** to a cold recomputation (scores, iteration count,
+per-iteration deltas):
 
-``replay`` (default)
-    Replays the previous run's Jacobi trajectory through
-    :meth:`~repro.core.vectorized.VectorizedFSimEngine.iterate_incremental`,
-    re-sweeping only the frontier of pairs the delta touched (directly,
-    or transitively through the dependency CSR).  The result --
-    scores, iteration count, per-iteration deltas -- is **bitwise
-    identical** to a cold recomputation.  Costs
-    ``(iterations + 1) * num_feasible`` floats of trajectory state.
-
-``warm``
-    Classic warm start: iterate from the previous *converged* scores
-    with the delta frontier seeded into the dirty-pair scheduler.
-    Typically converges in a couple of sweeps and needs no trajectory
-    memory, but the scores agree with a cold run only up to the epsilon
-    convergence band (both are valid epsilon-fixed-points).
+- an unsharded session whose worst-case Jacobi trajectory --
+  ``(iteration_budget() + 1) * num_feasible`` floats -- fits
+  ``max_trajectory_mb`` keeps that trajectory and replays it through
+  :meth:`~repro.core.vectorized.VectorizedFSimEngine.iterate_incremental`,
+  re-sweeping only the frontier of pairs the delta touched (directly,
+  or transitively through the dependency CSR);
+- every other session re-runs the fixed point cold on the patched
+  arena: across the shard runtime when one is open, else on the
+  session's pool sweep (recording the trajectory when it now fits).
 
 Out-of-band mutations (anything bypassing the logs, detected through
 the version bracket) trigger a transparent cold resynchronization.
@@ -56,8 +52,6 @@ from repro.graph.digraph import LabeledDigraph
 from repro.streaming.delta import Delta, DeltaLog
 from repro.streaming.patch import CompiledPatchError, patch_compiled_edges
 
-MODES = ("replay", "warm")
-
 
 class IncrementalFSim:
     """One live FSim computation over a mutating graph pair.
@@ -72,13 +66,11 @@ class IncrementalFSim:
         A :class:`~repro.core.config.FSimConfig`; must be expressible on
         the vectorized backend (custom init functions / candidate
         filters / exact matching raise :class:`ConfigError`).
-    mode:
-        ``"replay"`` (bitwise-exact, default) or ``"warm"`` -- see the
-        module docstring.
     max_trajectory_mb:
-        Upper bound on replay-trajectory memory; a session whose
-        worst-case trajectory would exceed it refuses to start in
-        replay mode (use ``warm`` or raise the bound).
+        Upper bound on replay-trajectory memory.  A session whose
+        worst-case trajectory would exceed it keeps none and re-runs
+        the fixed point cold on the patched arena after each edit --
+        same floats, no trajectory memory.
     workers / executor:
         The :mod:`repro.runtime` worker pool for the re-sweeps: its
         size (default ``config.workers``), or an
@@ -92,10 +84,9 @@ class IncrementalFSim:
         worker owns a pair-space slice for the session's lifetime,
         edits route as O(delta) journal entries to the owning shards,
         and each :meth:`compute` re-runs the fixed point cold across
-        the shards -- which is bitwise identical to the replay-mode
-        trajectory (replay reproduces the cold trajectory by
-        construction), at zero trajectory memory.  Instances too small
-        to shard silently run unsharded.
+        the shards -- bitwise identical to the replay, at zero
+        trajectory memory.  Instances too small to shard silently run
+        unsharded.
     """
 
     def __init__(
@@ -103,7 +94,6 @@ class IncrementalFSim:
         graph1: LabeledDigraph,
         graph2: LabeledDigraph,
         config: Optional[FSimConfig] = None,
-        mode: str = "replay",
         max_trajectory_mb: float = 1024.0,
         workers: Optional[int] = None,
         executor=None,
@@ -119,12 +109,9 @@ class IncrementalFSim:
             raise ConfigError(
                 f"streaming sessions require the vectorized backend ({reason})"
             )
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         self.graph1 = graph1
         self.graph2 = graph2
         self.config = config
-        self.mode = mode
         self.max_trajectory_mb = float(max_trajectory_mb)
         self.shards = int(shards if shards is not None else config.shards)
         if self.shards < 1:
@@ -143,8 +130,7 @@ class IncrementalFSim:
         self.log1 = DeltaLog(graph1)
         self.log2 = self.log1 if graph2 is graph1 else DeltaLog(graph2)
         self._compiled: Optional[CompiledFSim] = None
-        self._trajectory: Optional[List[np.ndarray]] = None  # replay mode
-        self._final: Optional[np.ndarray] = None  # warm mode
+        self._trajectory: Optional[List[np.ndarray]] = None
         self._result: Optional[FSimResult] = None
         self.stats: Dict[str, int] = {
             "cold_runs": 0,
@@ -168,8 +154,7 @@ class IncrementalFSim:
         recompile > cold resync).  With no pending mutations the cached
         result is returned as-is.
 
-        A failure mid-update (e.g. the trajectory memory guard) drops
-        every cached artifact before propagating: the delta was already
+        A failure mid-update (e.g. a failed recompile) drops every cached artifact before propagating: the delta was already
         drained, so serving the pre-delta result on the next call would
         be silently stale -- instead the next call resynchronizes cold.
         """
@@ -178,7 +163,6 @@ class IncrementalFSim:
         except Exception:
             self._compiled = None
             self._trajectory = None
-            self._final = None
             self._result = None
             self._discard_sharded()
             if self._channel is not None:
@@ -227,8 +211,8 @@ class IncrementalFSim:
     def snapshot_state(self) -> dict:
         """The session's resumable state, as one picklable payload.
 
-        Captures the compiled arrays, the replay trajectory (or warm
-        scores) and the converged result; the graphs themselves are not
+        Captures the compiled arrays, the replay trajectory (``None``
+        when the session keeps none) and the converged result; the graphs themselves are not
         included (the service snapshot layer stores them alongside and
         fingerprints the combination).  Requires a computed, fully
         drained session.
@@ -240,12 +224,10 @@ class IncrementalFSim:
                 "pending mutations: call compute() before snapshot_state()"
             )
         return {
-            "mode": self.mode,
             "config": self.config,
             "compiled": self._compiled,
             "trajectory": (list(self._trajectory)
                            if self._trajectory is not None else None),
-            "final": self._final,
             "result": self._result,
             "versions": (self.graph1.version, self.graph2.version),
         }
@@ -257,82 +239,102 @@ class IncrementalFSim:
         (the service layer enforces this with a content fingerprint
         before calling).  After adoption, a :meth:`compute` with no
         pending mutations returns the snapshot result without compiling
-        or iterating; mutations resume incrementally from it.
+        or iterating; mutations resume from it under the session's own
+        rule -- an unsharded session replays a carried trajectory that
+        fits ``max_trajectory_mb``; otherwise the first edit re-runs the
+        patched arena cold (across the shards when the session is
+        sharded).  Keys a payload carries beyond those read here are
+        ignored.
         """
-        if state["mode"] != self.mode:
-            raise ConfigError(
-                f"snapshot was taken in mode={state['mode']!r}, "
-                f"session runs mode={self.mode!r}"
-            )
         if state["config"] != self.config:
             raise ConfigError("snapshot config does not match the session")
-        if (self.mode == "replay" and state["trajectory"] is None
-                and self.shards <= 1):
-            # A sharded session keeps no replay trajectory (it re-runs
-            # the fixed point cold, which is bitwise identical); an
-            # unsharded replay session cannot resume from that.
-            raise ConfigError(
-                "snapshot was taken by a sharded session (no replay "
-                "trajectory); adopt it into a sharded session or use "
-                "mode='warm'"
-            )
         self._compiled = state["compiled"]
         trajectory = state["trajectory"]
-        self._trajectory = None if trajectory is None else list(trajectory)
-        self._final = state["final"]
+        keep = (trajectory is not None and self.shards <= 1
+                and self._fits_trajectory(self._compiled))
+        self._trajectory = list(trajectory) if keep else None
         self._result = state["result"]
         if self._channel is not None:
             self._channel.invalidate()
 
     @property
     def trajectory_bytes(self) -> int:
-        """Current replay-state footprint (0 in warm mode)."""
+        """Current replay-state footprint (0 when none is kept)."""
         if not self._trajectory:
             return 0
         return sum(level.nbytes for level in self._trajectory)
 
     # ------------------------------------------------------------------
-    # cold path
+    # the fixed point: cold runs and the one resume rule
     # ------------------------------------------------------------------
-    def _check_trajectory_budget(self, num_feasible: int) -> None:
-        worst = (self.config.iteration_budget() + 1) * max(num_feasible, 1) * 8
-        if worst > self.max_trajectory_mb * (1 << 20):
-            raise ConfigError(
-                f"replay trajectory may need {worst / (1 << 20):.0f} MiB "
-                f"(> max_trajectory_mb={self.max_trajectory_mb:g}); "
-                "use mode='warm' or raise the bound"
-            )
+    def _fits_trajectory(self, compiled: CompiledFSim) -> bool:
+        """Whether the worst-case replay trajectory over ``compiled``
+        fits ``max_trajectory_mb``."""
+        levels = self.config.iteration_budget() + 1
+        worst = levels * max(compiled.num_feasible, 1) * 8
+        return worst <= self.max_trajectory_mb * (1 << 20)
 
     def _cold(self) -> FSimResult:
         self.stats["cold_runs"] += 1
         compiled = compile_fsim(self.graph1, self.graph2, self.config)
-        if self.shards > 1:
-            self._discard_sharded()
-            sharded = self._ensure_sharded(compiled)
-            if sharded is not None:
-                scores, iterations, converged, deltas = sharded.iterate()
-                self.stats["sharded_runs"] += 1
-                self._compiled = compiled
-                self._trajectory = None
-                self._final = scores
-                self.stats["iterations"] += iterations
-                return self._wrap(scores, iterations, converged, deltas)
-        if self.mode == "replay":
-            self._check_trajectory_budget(compiled.num_feasible)
-        engine = VectorizedFSimEngine(compiled)
-        trajectory: Optional[List[np.ndarray]] = (
-            [] if self.mode == "replay" else None
-        )
+        self._discard_sharded()
         if self._channel is not None:
             self._channel.invalidate()  # fresh compiled instance
+        return self._finish(compiled, self._run_cold(compiled))
+
+    def _run_cold(self, compiled: CompiledFSim):
+        """Run the fixed point from the L-initialization on ``compiled``:
+        across the shards when the session is sharded, else on the
+        pool sweep, recording the replay trajectory when it fits."""
+        if self.shards > 1:
+            sharded = self._ensure_sharded(compiled)
+            if sharded is not None:
+                self._trajectory = None
+                self.stats["sharded_runs"] += 1
+                return sharded.iterate()
+        engine = VectorizedFSimEngine(compiled)
+        trajectory = [] if self._fits_trajectory(compiled) else None
         with self.executor.sweep_session(engine,
                                          channel=self._channel) as sweep:
-            scores, iterations, converged, deltas = engine.iterate(
-                sweep=sweep, trajectory=trajectory
-            )
-        self._compiled = compiled
+            outcome = engine.iterate(sweep=sweep, trajectory=trajectory)
         self._trajectory = trajectory
-        self._final = None if self.mode == "replay" else scores
+        return outcome
+
+    def _incremental(self, delta1: Delta, delta2: Delta) -> FSimResult:
+        """Patch the arena for the delta, then replay the trajectory if
+        one is kept, else re-run the patched arena cold."""
+        self.stats["incremental_runs"] += 1
+        self._refresh_plans(delta1, delta2)
+        compiled = self._compiled
+        dirty0: Optional[np.ndarray] = None
+        try:
+            touched = patch_compiled_edges(
+                compiled, lower_graph(self.graph1), lower_graph(self.graph2),
+                delta1, delta2,
+            )
+            self.stats["compiled_patches"] += 1
+            # Workers replay this exact patch from the ops alone -- the
+            # broadcast for this update is O(delta), not O(graph).
+            selfsim = self.graph2 is self.graph1
+            if self._channel is not None:
+                self._channel.record_patch(delta1, delta2, selfsim)
+            if self._sharded is not None:
+                self._sharded.record_patch(delta1, delta2, selfsim)
+        except CompiledPatchError:
+            compiled, touched, dirty0 = self._recompile(delta1, delta2)
+        if self._trajectory is None:
+            return self._finish(compiled, self._run_cold(compiled))
+        engine = VectorizedFSimEngine(compiled)
+        with self.executor.sweep_session(engine,
+                                         channel=self._channel) as sweep:
+            outcome = engine.iterate_incremental(
+                self._trajectory, touched, dirty0, sweep=sweep
+            )
+        return self._finish(compiled, outcome)
+
+    def _finish(self, compiled: CompiledFSim, outcome) -> FSimResult:
+        scores, iterations, converged, deltas = outcome
+        self._compiled = compiled
         self.stats["iterations"] += iterations
         return self._wrap(scores, iterations, converged, deltas)
 
@@ -360,86 +362,6 @@ class IncrementalFSim:
             self._sharded.close()
             self._sharded = None
 
-    def _sharded_incremental(self, delta1: Delta,
-                             delta2: Delta) -> FSimResult:
-        """Sharded compute after mutations: patch the parent compiled
-        instance, journal the delta to the owning shards (O(delta)
-        broadcast) and re-run the fixed point cold across the shards --
-        bitwise identical to the replay-mode result."""
-        sharded = self._sharded
-        compiled = self._compiled
-        try:
-            plan1 = lower_graph(self.graph1)
-            plan2 = lower_graph(self.graph2)
-            patch_compiled_edges(compiled, plan1, plan2, delta1, delta2)
-            self.stats["compiled_patches"] += 1
-            sharded.record_patch(delta1, delta2, self.graph2 is self.graph1)
-        except CompiledPatchError:
-            # Node/label churn reshapes the arena: recompile and open a
-            # fresh partition/runtime over it.
-            self.stats["full_recompiles"] += 1
-            self._discard_sharded()
-            compiled = compile_fsim(self.graph1, self.graph2, self.config)
-            sharded = self._ensure_sharded(compiled)
-        if sharded is not None:
-            scores, iterations, converged, deltas = sharded.iterate()
-            self.stats["sharded_runs"] += 1
-        else:  # shrunk below the sharding threshold: run unsharded
-            engine = VectorizedFSimEngine(compiled)
-            scores, iterations, converged, deltas = engine.iterate()
-        self._compiled = compiled
-        self._final = scores
-        self.stats["iterations"] += iterations
-        return self._wrap(scores, iterations, converged, deltas)
-
-    # ------------------------------------------------------------------
-    # incremental path
-    # ------------------------------------------------------------------
-    def _incremental(self, delta1: Delta, delta2: Delta) -> FSimResult:
-        self.stats["incremental_runs"] += 1
-        self._refresh_plans(delta1, delta2)
-        if self._sharded is not None and not self._sharded.closed:
-            return self._sharded_incremental(delta1, delta2)
-        compiled = self._compiled
-        touched: Optional[np.ndarray] = None
-        dirty0: Optional[np.ndarray] = None
-        try:
-            plan1 = lower_graph(self.graph1)
-            plan2 = lower_graph(self.graph2)
-            touched = patch_compiled_edges(compiled, plan1, plan2,
-                                           delta1, delta2)
-            self.stats["compiled_patches"] += 1
-            if self._channel is not None:
-                # Workers replay this exact patch from the ops alone --
-                # the broadcast for this update is O(delta), not O(graph).
-                self._channel.record_patch(
-                    delta1, delta2, self.graph2 is self.graph1
-                )
-        except CompiledPatchError:
-            compiled, touched, dirty0 = self._recompile(delta1, delta2)
-            if self._channel is not None:
-                self._channel.invalidate()  # new compiled instance
-        engine = VectorizedFSimEngine(compiled)
-        with self.executor.sweep_session(engine,
-                                         channel=self._channel) as sweep:
-            if self.mode == "replay":
-                scores, iterations, converged, deltas = (
-                    engine.iterate_incremental(
-                        self._trajectory, touched, dirty0, sweep=sweep
-                    )
-                )
-            else:
-                seed = touched
-                if dirty0 is not None and dirty0.size:
-                    seed = np.union1d(seed, compiled.dependents(dirty0))
-                scores, iterations, converged, deltas = engine.iterate(
-                    sweep=sweep, scores_init=self._final, upd0=seed
-                )
-                self._final = scores
-        self._compiled = compiled
-        self.stats["iterations"] += iterations
-        return self._wrap(scores, iterations, converged, deltas)
-
     def _refresh_plans(self, delta1: Delta, delta2: Delta) -> None:
         if delta1.ops and patch_cached_plan(
             self.graph1, delta1.ops, delta1.base_version
@@ -453,16 +375,19 @@ class IncrementalFSim:
 
     def _recompile(
         self, delta1: Delta, delta2: Delta
-    ) -> Tuple[CompiledFSim, np.ndarray, Optional[np.ndarray]]:
-        """Full recompile (node/label churn, pruning configs) with the
-        previous state remapped into the new arena."""
+    ) -> Tuple[CompiledFSim, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Full recompile (node/label churn, pruning configs).  A kept
+        trajectory is remapped into the new arena -- or dropped when the
+        grown arena no longer fits the budget, leaving a cold re-run."""
         self.stats["full_recompiles"] += 1
         old = self._compiled
         new = compile_fsim(self.graph1, self.graph2, self.config)
-        if self.mode == "replay":
-            # Node churn can grow the arena past the budget the cold
-            # run was admitted under -- recheck before remapping.
-            self._check_trajectory_budget(new.num_feasible)
+        self._discard_sharded()  # the partition was over the old arena
+        if self._channel is not None:
+            self._channel.invalidate()  # new compiled instance
+        if self._trajectory is None or not self._fits_trajectory(new):
+            self._trajectory = None
+            return new, None, None
         old_ids, new_ids = _arena_mapping(old, new)
         new_upd_slots = new.maintained & ~new.frozen
         mapped_slot = np.zeros(new.num_feasible, dtype=bool)
@@ -471,22 +396,16 @@ class IncrementalFSim:
         touched = np.union1d(
             unmapped, self._affected_positions(new, delta1, delta2)
         )
-        if self.mode == "replay":
-            base = np.where(new_upd_slots, np.nan, new.scores0)
-            levels = []
-            for level in self._trajectory:
-                remapped = base.copy()
-                remapped[new_ids] = level[old_ids]
-                levels.append(remapped)
-            with np.errstate(invalid="ignore"):
-                dirty0 = np.flatnonzero(levels[0] != new.scores0)
-            levels[0] = new.scores0.copy()
-            self._trajectory = levels
-        else:
-            warm = new.scores0.copy()
-            warm[new_ids] = self._final[old_ids]
-            dirty0 = new.upd_arena[unmapped]
-            self._final = warm
+        base = np.where(new_upd_slots, np.nan, new.scores0)
+        levels = []
+        for level in self._trajectory:
+            remapped = base.copy()
+            remapped[new_ids] = level[old_ids]
+            levels.append(remapped)
+        with np.errstate(invalid="ignore"):
+            dirty0 = np.flatnonzero(levels[0] != new.scores0)
+        levels[0] = new.scores0.copy()
+        self._trajectory = levels
         return new, touched, dirty0
 
     def _affected_positions(self, compiled: CompiledFSim, delta1: Delta,

@@ -135,6 +135,14 @@ class TestStream:
         with pytest.raises(SystemExit):
             main(["stream", "a", "b"])
 
+    def test_mode_flag_is_unknown(self, capsys):
+        """Sessions have one resume rule; the flag that picked between
+        two is gone."""
+        with pytest.raises(SystemExit) as raised:
+            main(["stream", "g1", "g2", "--script", "s", "--mode", "replay"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_table2(self, capsys):

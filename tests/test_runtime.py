@@ -481,6 +481,40 @@ class TestSweepChannel:
         finally:
             ex.close()
 
+    def test_over_budget_session_reruns_cold_on_the_pool(self):
+        """A session over its trajectory budget re-runs every edit cold
+        through the pool's sweeps -- bitwise equal to the serial replay
+        session across edge edits (channel deltas) and node churn."""
+        from repro.streaming import IncrementalFSim
+
+        graph = self._streaming_graph(seed=43)
+        replica = self._streaming_graph(seed=43)
+        cfg = self._config()
+        ex = SharedMemoryExecutor(2, min_parallel_upd=1)
+        try:
+            session = IncrementalFSim(graph, graph, cfg, executor=ex,
+                                      max_trajectory_mb=1e-6)
+            mirror = IncrementalFSim(replica, replica, cfg)
+            assert_identical(mirror.compute(), session.compute())
+            edges = list(graph.edges())
+            for index in range(3):
+                u, v = edges[index * 13]
+                session.log1.remove_edge(u, v)
+                mirror.log1.remove_edge(u, v)
+                assert_identical(mirror.compute(), session.compute())
+            for live in (session, mirror):
+                live.log1.add_node("fresh-node", "L0")
+                live.log1.add_edge("fresh-node", edges[0][0])
+            assert_identical(mirror.compute(), session.compute())
+            assert session.trajectory_bytes == 0
+            assert mirror.trajectory_bytes > 0
+            assert session.stats["compiled_patches"] == 3
+            assert session.stats["full_recompiles"] == 1
+            assert session._channel.delta_broadcasts >= 1
+            session.close()
+        finally:
+            ex.close()
+
     def test_recompile_invalidates_channel(self):
         """Node churn forces a full recompile; the channel must drop its
         stale base instead of shipping deltas against it."""

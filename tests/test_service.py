@@ -9,6 +9,7 @@ baselines rebuild graphs through the same construction sequence (never
 the last ulp).
 """
 
+import pickle
 import random
 import threading
 
@@ -29,6 +30,7 @@ from repro.graph.generators import random_graph, uniform_labels
 from repro.service import GraphStore, ServerThread, ServiceClient
 from repro.service.client import wire_partners, wire_scores
 from repro.service.snapshot import (
+    build_snapshot_payload,
     graph_fingerprint,
     restore_snapshot,
     save_snapshot,
@@ -482,6 +484,36 @@ class TestSnapshots:
         live = make_graph()
         direct = fsim_matrix(live, live, config=numpy_config())
         assert warm.scores == direct.scores
+
+    def test_snapshot_with_legacy_session_mode_restores(self, tmp_path):
+        """Snapshots written while sessions had a ``mode`` (payload
+        ``session_mode``, session-state ``mode`` / ``final``) restore,
+        serve bitwise-identical scores and keep patching in place."""
+        path = tmp_path / "g.snap"
+        store = GraphStore(default_config=numpy_config())
+        store.register("g", make_graph())
+        warm = store.fsim("g", "g")
+        payload = build_snapshot_payload(store, "g")
+        store.close()
+        payload["session_mode"] = "replay"
+        payload["session_state"] = dict(payload["session_state"],
+                                        mode="replay", final=None)
+        path.write_bytes(pickle.dumps(payload))
+
+        fresh = GraphStore(default_config=numpy_config())
+        live = make_graph()
+        restore_snapshot(fresh, path, graph=live)
+        restored = fresh.fsim("g", "g")
+        assert restored.scores == warm.scores
+        assert restored.iterations == warm.iterations
+        assert restored.deltas == warm.deltas
+        edge = next(iter(live.edges()))
+        fresh.mutate("g", [DeltaOp("remove_edge", *edge)])
+        fresh.fsim("g", "g")
+        stats = fresh.pair("g", "g", fresh.default_config).session.stats
+        assert stats["compiled_patches"] == 1
+        assert stats["full_recompiles"] == 0
+        fresh.close()
 
     def test_stale_snapshot_is_rejected(self, tmp_path):
         path = tmp_path / "g.snap"

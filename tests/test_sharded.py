@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.compile import compile_fsim
 from repro.core.config import FSimConfig
 from repro.core.engine import FSimEngine
@@ -46,8 +47,10 @@ from repro.runtime.sharded import (
 )
 from repro.service import ClientPool, GraphStore, ServerThread
 from repro.service.client import ServiceConnectionError
+from repro.service.snapshot import restore_snapshot, save_snapshot
 from repro.simulation import Variant
 from repro.streaming import IncrementalFSim
+from repro.streaming.delta import DeltaOp
 
 VARIANTS = [Variant.S, Variant.B, Variant.DP, Variant.BJ, Variant.CROSS]
 
@@ -269,8 +272,8 @@ class TestStreamingMigration:
                           seed=seed + 1)
         gb = random_graph(n, m, uniform_labels(n, labels, seed=seed),
                           seed=seed + 1)
-        ref = IncrementalFSim(ga, ga, config, mode="replay")
-        shd = IncrementalFSim(gb, gb, config, mode="replay", shards=shards)
+        ref = IncrementalFSim(ga, ga, config)
+        shd = IncrementalFSim(gb, gb, config, shards=shards)
         return ref, shd
 
     def test_mid_session_edits_stay_bitwise_identical(self, low_threshold):
@@ -336,25 +339,81 @@ class TestStreamingMigration:
             ref.close()
             shd.close()
 
-    def test_sharded_snapshot_needs_sharded_adoption(self, low_threshold):
+    def test_unsharded_session_adopts_sharded_snapshot(self,
+                                                       low_threshold):
+        """A sharded snapshot carries no trajectory; an unsharded
+        session adopting it re-runs the patched arena cold on each edit
+        and stays bitwise equal to the cold reference."""
         config = make_config(variant=Variant.DP)
         _, shd = self._paired_sessions(config, shards=3, seed=53)
         plain = None
         try:
             shd.compute()
+            assert shd.stats["sharded_runs"] == 1
             state = shd.snapshot_state()
-            if state.get("trajectory") is not None:
-                pytest.skip("session kept a trajectory; guard not reached")
+            assert state["trajectory"] is None
             n = 36
             g = random_graph(n, 140, uniform_labels(n, 4, seed=53),
                              seed=54)
-            plain = IncrementalFSim(g, g, config, mode="replay")
-            with pytest.raises(ConfigError):
-                plain.adopt_state(state)
+            plain = IncrementalFSim(g, g, config)
+            plain.adopt_state(state)
+            assert plain.compute() is state["result"]
+            edges = list(g.edges())
+            for u, v in edges[:2]:
+                plain.log1.remove_edge(u, v)
+                got = plain.compute()
+                ref = repro.fsim_matrix(g, g, config=config)
+                assert got.scores == ref.scores
+                assert got.iterations == ref.iterations
+                assert got.deltas == ref.deltas
+            assert plain.stats["cold_runs"] == 0
+            assert plain.stats["compiled_patches"] == 2
+            assert plain.stats["sharded_runs"] == 0
         finally:
             if plain is not None:
                 plain.close()
             shd.close()
+
+    def test_restored_sharded_snapshot_serves_first_edit(self, tmp_path):
+        """Regression: a sharded store restored from its snapshot used
+        to crash on the first edit (no trajectory, no shard runtime).
+        Runs at the default sharding threshold: the pair has well over
+        ``MIN_PARALLEL_UPD`` updatable pairs."""
+        config = FSimConfig(variant=Variant.B, label_function="indicator",
+                            theta=1.0, backend="numpy")
+
+        def make_graph():
+            return random_graph(80, 400, uniform_labels(80, 4, seed=71),
+                                seed=72)
+
+        path = tmp_path / "g.snap"
+        store = GraphStore(default_config=config, shards=2)
+        try:
+            store.register("g", make_graph())
+            store.fsim("g", "g")
+            pair = store.pair("g", "g", store.default_config)
+            assert pair.session.stats["sharded_runs"] == 1
+            save_snapshot(store, "g", path)
+        finally:
+            store.close()
+
+        fresh = GraphStore(default_config=config, shards=2)
+        try:
+            live = make_graph()
+            restore_snapshot(fresh, path, graph=live)
+            edge = next(iter(live.edges()))
+            fresh.mutate("g", [DeltaOp("remove_edge", *edge)])
+            result = fresh.fsim("g", "g")
+            session = fresh.pair("g", "g", fresh.default_config).session
+            assert session.stats["cold_runs"] == 0
+            assert session.stats["sharded_runs"] == 1
+            replica = make_graph()
+            replica.remove_edge(*edge)
+            direct = repro.fsim_matrix(replica, replica, config=config)
+            assert result.scores == direct.scores
+            assert result.iterations == direct.iterations
+        finally:
+            fresh.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The streaming subsystem: delta capture, patching, incremental sessions.
 
 The central invariant: an :class:`~repro.streaming.session.IncrementalFSim`
-session in the default ``replay`` mode is **observationally identical**
-to recomputing from scratch after every delta -- scores, iteration
-counts and per-iteration deltas, bitwise -- while touching only the
-state the delta reaches.  Cold baselines are computed on the *same*
+session is **observationally identical** to recomputing from scratch
+after every delta -- scores, iteration counts and per-iteration deltas,
+bitwise -- whether it replays its stored trajectory (touching only the
+state the delta reaches) or, over its memory budget, re-runs the
+patched arena cold.  Cold baselines are computed on the *same*
 graph objects with the plan caches cleared (a structural copy reorders
 adjacency lists, which legitimately perturbs the last ulp of the
 order-sensitive reference semantics).
@@ -39,6 +40,7 @@ from repro.streaming import (
     apply_script_op,
     parse_edit_script,
 )
+from repro.streaming import session as session_module
 
 
 @pytest.fixture(autouse=True)
@@ -397,7 +399,7 @@ class TestReplayParity:
                 assert warm.scores == ref.scores, (seed, step)
                 assert warm.iterations == ref.iterations
 
-    def test_failed_update_never_serves_stale_results(self):
+    def test_failed_update_never_serves_stale_results(self, monkeypatch):
         """Regression: a failure mid-update (delta already drained) must
         not leave a cached pre-delta result for the next compute()."""
         g = small_graph(seed=41, n=10)
@@ -405,14 +407,23 @@ class TestReplayParity:
                             backend="numpy")
         session = IncrementalFSim(g, g, config)
         session.compute()
-        # shrink the budget so the next (recompile-path) update fails
-        session.max_trajectory_mb = 1e-6
+        # make the next (recompile-path) update fail exactly once
+        real_compile = session_module.compile_fsim
+        failures = []
+
+        def compile_once_failing(*args, **kwargs):
+            if not failures:
+                failures.append(True)
+                raise ConfigError("injected compile failure")
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "compile_fsim",
+                            compile_once_failing)
         session.log1.add_node("grown", "L0")
         with pytest.raises(ConfigError):
             session.compute()
-        # relaxing the budget must recompute cold, not serve the
-        # pre-delta cached result
-        session.max_trajectory_mb = 1024.0
+        # the next compute must recompute cold, not serve the pre-delta
+        # cached result
         fresh = session.compute()
         ref = cold_reference(g, g, config)
         assert fresh.scores == ref.scores
@@ -476,34 +487,9 @@ def test_property_randomized_edit_scripts_bitwise_parity(seed, variant, steps):
 
 
 # ----------------------------------------------------------------------
-# warm mode
+# resume state: the trajectory is kept only when it fits the budget
 # ----------------------------------------------------------------------
 class TestWarmMode:
-    def test_warm_mode_within_epsilon_band(self):
-        rng = random.Random(23)
-        g = small_graph(seed=25, n=14)
-        config = FSimConfig(variant=Variant.B, label_function="indicator",
-                            backend="numpy")
-        session = IncrementalFSim(g, g, config, mode="warm")
-        session.compute()
-        assert session.trajectory_bytes == 0  # no replay state
-        for step in range(5):
-            nodes = list(g.nodes())
-            if rng.random() < 0.5 and g.num_edges:
-                session.log1.remove_edge(*rng.choice(list(g.edges())))
-            else:
-                s, t = rng.sample(nodes, 2)
-                session.log1.add_edge_if_absent(s, t)
-            warm = session.compute()
-            ref = cold_reference(g, g, config)
-            assert warm.scores.keys() == ref.scores.keys()
-            worst = max(
-                abs(warm.scores[pair] - value)
-                for pair, value in ref.scores.items()
-            )
-            assert worst < 0.05, step
-            assert warm.iterations <= ref.iterations
-
     def test_replay_keeps_trajectory_state(self):
         g = small_graph(seed=27)
         session = IncrementalFSim(g, g, FSimConfig(backend="numpy"))
@@ -511,12 +497,32 @@ class TestWarmMode:
         assert session.trajectory_bytes > 0
 
     def test_trajectory_memory_guard(self):
+        """Over budget, the session keeps no trajectory and re-runs the
+        patched arena cold -- still bitwise equal to a cold run, across
+        edge edits (compiled patches) and node churn (recompiles)."""
+        rng = random.Random(29)
         g = small_graph(seed=29, n=12)
-        session = IncrementalFSim(
-            g, g, FSimConfig(backend="numpy"), max_trajectory_mb=1e-6
-        )
-        with pytest.raises(ConfigError):
-            session.compute()
+        config = FSimConfig(variant=Variant.B, label_function="indicator",
+                            backend="numpy")
+        session = IncrementalFSim(g, g, config, max_trajectory_mb=1e-6)
+        session.compute()
+        for step in range(6):
+            nodes = list(g.nodes())
+            if step % 3 == 0:
+                session.log1.remove_edge(*rng.choice(list(g.edges())))
+            elif step % 3 == 1:
+                session.log1.remove_node(rng.choice(nodes))
+            else:
+                session.log1.add_node(f"n{step}", "L0")
+                session.log1.add_edge(f"n{step}", rng.choice(nodes))
+            got = session.compute()
+            ref = cold_reference(g, g, config)
+            assert got.scores == ref.scores, step
+            assert got.iterations == ref.iterations
+            assert got.deltas == ref.deltas
+            assert session.trajectory_bytes == 0
+        assert session.stats["compiled_patches"] == 2
+        assert session.stats["full_recompiles"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -529,11 +535,6 @@ class TestSessionGuards:
             IncrementalFSim(
                 g, g, FSimConfig(init_function=lambda u, v: 0.5)
             )
-
-    def test_unknown_mode_rejected(self):
-        g = small_graph(seed=33)
-        with pytest.raises(ConfigError):
-            IncrementalFSim(g, g, FSimConfig(), mode="tepid")
 
     def test_python_backend_rejected(self):
         """Sessions always run the vectorized engine; a config explicitly
