@@ -21,11 +21,18 @@ runs **one** fixed-point loop over the candidate store and applies the
 contraction bound per query row, retiring each query the iteration its
 top-k certifies.  Scores are globally coupled but query-independent, so
 a batched query returns exactly what a solo :meth:`TopKSearch.search`
-would -- at amortized cost.  Two backends implement the loop (selected
-by ``FSimConfig(backend=...)``, like :meth:`FSimEngine.run`): the
-dict-based reference path below (the semantic ground truth) and the
-compiled vectorized path reusing the plan cache of
-:mod:`repro.core.plan` -- see docs/PERF.md.
+would -- at amortized cost.
+
+This module owns no fixed-point loop.  It builds the query rows and
+plugs the certification rule into the engines' own loops as their
+``on_iteration`` hook (selected by ``FSimConfig(backend=...)``, like
+:meth:`FSimEngine.run`): the reference engine's dict loop
+(:func:`repro.runtime.driver.run_reference_engine`, with the list form
+of the rule as the oracle) and the compiled loop on whichever runner
+:func:`repro.runtime.driver.run_compiled` picks -- the sharded runtime
+or an executor's sweep session -- watching only the query rows.  So
+top-k records the same phases, and falls back from the shards the same
+way, as a full computation -- see docs/PERF.md.
 """
 
 from __future__ import annotations
@@ -135,14 +142,15 @@ class TopKSearch:
         result is identical to what a solo :meth:`search` would return:
         the score trajectory does not depend on the query set, and each
         query retires the first iteration its certification criterion
-        holds.  ``workers > 1`` runs the shared iteration loop on the
-        :mod:`repro.runtime` worker pool (the batch shares one sweep
-        session and one persistent pool; ``executor``, an
+        holds.  The shared loop is the engine's own, on the runner
+        :meth:`FSimEngine.run` would use: ``workers > 1`` runs it on the
+        :mod:`repro.runtime` worker pool (``executor``, an
         :class:`~repro.runtime.executor.Executor` instance, replaces
-        the pool ``workers`` would pick); ``shards > 1`` (default ``config.shards``; numpy backend)
-        runs the sharded runtime instead, with the query rows gathered
-        per iteration through its watch buffer.  Results are bitwise
-        identical to the serial loop either way.
+        the pool ``workers`` would pick); ``shards > 1`` (default
+        ``config.shards``; numpy backend) runs the sharded runtime
+        instead, with the query rows gathered per iteration through its
+        watch buffer.  Results are bitwise identical to the serial loop
+        either way.
         """
         from repro.runtime import resolve_executor
 
@@ -159,8 +167,7 @@ class TopKSearch:
             shards = config.shards
         resolved = resolve_executor(config, workers, executor)
         if self.engine._resolve_backend() == "numpy":
-            return self._search_many_numpy(queries, k, resolved,
-                                           shards=int(shards))
+            return self._search_many_numpy(queries, k, resolved, int(shards))
         return self._search_many_python(queries, k, resolved)
 
     # ------------------------------------------------------------------
@@ -180,79 +187,86 @@ class TopKSearch:
             return False
         return row[k - 1][1] - bound >= row[k][1] + bound
 
-    # ------------------------------------------------------------------
-    # reference (dict) backend
-    # ------------------------------------------------------------------
-    def _search_many_python(self, queries, k, executor):
-        from repro.runtime.executor import round_robin_shards
+    def _certify(self, queries: List[Node], run,
+                 certify) -> List[TopKResult]:
+        """Drive one engine loop with the retirement rule as its hook.
 
-        from repro.core.engine import update_pairs
-
-        engine = self.engine
-        cfg = engine.config
-        pinned = cfg.pinned_pairs or {}
-        candidates = engine.candidates()
-        prev = engine.initial_scores()
-        updatable = [pair for pair in candidates if pair not in pinned]
-        rows: Dict[Node, _QueryRow] = {
-            query: _QueryRow(query) for query in set(queries)
-        }
-        for pair in prev:
-            row = rows.get(pair[0])
-            if row is not None:
-                row.entries.append((pair[1], pair, repr(pair[1])))
+        ``run(on_iteration)`` runs the backend's fixed-point loop;
+        ``certify(query, view, bound, converged)`` returns the query's
+        top-k partners when the rule retires it (always when
+        ``converged``), else ``None`` -- ``view`` is what the loop hands
+        its hook.  The loop stops once every query retired; queries
+        still active when the iteration budget runs out get their
+        best-effort top-k at the last iteration's view.
+        """
         results: List[Optional[TopKResult]] = [None] * len(queries)
         active = list(range(len(queries)))
-        iterations = 0
-        shards = round_robin_shards(updatable, executor.workers)
-        with executor.pair_session(engine, shards) as step:
-            for _ in range(cfg.iteration_budget()):
-                iterations += 1
-                if step is not None:
-                    current, delta = step(prev)
+        last: dict = {}
+
+        def on_iteration(iteration, view, delta, converged) -> bool:
+            bound = delta * self._decay / (1.0 - self._decay)
+            remaining = []
+            for position in active:
+                partners = certify(queries[position], view, bound, converged)
+                if partners is None:
+                    remaining.append(position)
                 else:
-                    # The in-process form of the same Jacobi step the
-                    # executors run shard-wise.
-                    current, delta = update_pairs(engine, updatable, prev)
-                for pair, value in pinned.items():
-                    current[pair] = value
-                prev = current
-                bound = delta * self._decay / (1.0 - self._decay)
-                converged = delta < cfg.epsilon
-                remaining = []
-                for position in active:
-                    row = rows[queries[position]].ranked(prev)
-                    if self._retire(row, k, bound, converged):
-                        results[position] = TopKResult(
-                            query=queries[position], partners=row[:k],
-                            iterations=iterations, certified=True,
-                        )
-                    else:
-                        remaining.append(position)
-                active = remaining
-                if not active:
-                    break
+                    results[position] = TopKResult(
+                        query=queries[position], partners=partners,
+                        iterations=iteration, certified=True,
+                    )
+            active[:] = remaining
+            last.update(iteration=iteration, view=view)
+            return not active
+
+        run(on_iteration)
         for position in active:  # iteration budget exhausted: best effort
-            row = rows[queries[position]].ranked(prev)
             results[position] = TopKResult(
-                query=queries[position], partners=row[:k],
-                iterations=iterations, certified=False,
+                query=queries[position],
+                partners=certify(queries[position], last["view"], 0.0, True),
+                iterations=last["iteration"], certified=False,
             )
         return results
 
     # ------------------------------------------------------------------
+    # reference (dict) backend
+    # ------------------------------------------------------------------
+    def _search_many_python(self, queries, k, executor):
+        from repro.runtime.driver import run_reference_engine
+
+        engine = self.engine
+        rows: Dict[Node, _QueryRow] = {
+            query: _QueryRow(query) for query in set(queries)
+        }
+        # The score dict's keys, in its order: candidates, then pinned.
+        pairs = [*engine.candidates(), *(engine.config.pinned_pairs or {})]
+        for pair in dict.fromkeys(pairs):
+            row = rows.get(pair[0])
+            if row is not None:
+                row.entries.append((pair[1], pair, repr(pair[1])))
+
+        def certify(query, scores, bound, converged):
+            row = rows[query].ranked(scores)
+            return row[:k] if self._retire(row, k, bound, converged) else None
+
+        return self._certify(
+            queries,
+            lambda hook: run_reference_engine(engine, executor,
+                                              on_iteration=hook),
+            certify,
+        )
+
+    # ------------------------------------------------------------------
     # compiled (numpy) backend
     # ------------------------------------------------------------------
-    def _search_many_numpy(self, queries, k, executor, shards: int = 1):
+    def _search_many_numpy(self, queries, k, executor, shards: int):
         import numpy as np
 
         from repro.core.compile import compile_fsim
-        from repro.core.vectorized import VectorizedFSimEngine
+        from repro.runtime.driver import run_compiled
 
         engine = self.engine
-        cfg = engine.config
-        compiled = compile_fsim(engine.graph1, engine.graph2, cfg)
-        vectorized = VectorizedFSimEngine(compiled)
+        compiled = compile_fsim(engine.graph1, engine.graph2, engine.config)
 
         # Per-query rows over the compiled arena, built once: maintained
         # arena pairs of the query row plus any pinned pairs outside the
@@ -287,170 +301,42 @@ class TopKSearch:
                 [value for _, value in extra], dtype=np.float64
             )
             row_tie[query] = tie
+        # The union of the rows is the loop's watch set: only those
+        # scores reach the hook (O(watch) traffic on the shards).
+        watch = np.unique(np.concatenate(list(row_ids.values())))
+        row_pos = {
+            query: np.searchsorted(watch, ids)
+            for query, ids in row_ids.items()
+        }
 
-        def row_values(query: Node, scores: np.ndarray) -> np.ndarray:
-            return np.concatenate((scores[row_ids[query]], row_extra[query]))
-
-        def row_order(query: Node, values: np.ndarray) -> np.ndarray:
-            return np.lexsort((row_tie[query], -values))
-
-        def top_partners(query: Node, values: np.ndarray,
-                         order: np.ndarray, k: int):
+        def certify(query, view, bound, converged):
+            values = np.concatenate((view[row_pos[query]], row_extra[query]))
+            # The array form of _retire: the separation test reads the
+            # k-th and (k+1)-th largest *values*, which the repr
+            # tie-break (a permutation of equal values) cannot affect --
+            # an O(n) partition answers it, and the row is only sorted
+            # when the query retires.
+            if not converged:
+                if values.size <= k:
+                    return None
+                split = values.size - k - 1
+                part = np.partition(values, split)
+                if not (part[split + 1:].min() - bound
+                        >= part[split] + bound):
+                    return None
+            order = np.lexsort((row_tie[query], -values))
             partners = row_partners[query]
             return [
                 (partners[position], float(values[position]))
                 for position in order[:k].tolist()
             ]
 
-        results: List[Optional[TopKResult]] = [None] * len(queries)
-        active = list(range(len(queries)))
-
-        def certify_active(values_of, delta: float, converged: bool,
-                           iterations: int) -> None:
-            """One round of the retirement rule over the active queries
-            (``values_of(query)`` -> that query's current row values)."""
-            bound = delta * self._decay / (1.0 - self._decay)
-            remaining = []
-            for position in active:
-                query = queries[position]
-                values = values_of(query)
-                # The array form of _retire: the separation test reads
-                # the k-th and (k+1)-th largest *values*, which the
-                # repr tie-break (a permutation of equal values) cannot
-                # affect -- an O(n) partition answers it, and the row is
-                # only sorted/materialized when the query retires.
-                if converged:
-                    retire = True
-                elif values.size <= k:
-                    retire = False
-                else:
-                    split = values.size - k - 1
-                    part = np.partition(values, split)
-                    kth_best = part[split + 1:].min()
-                    next_best = part[split]
-                    retire = bool(kth_best - bound >= next_best + bound)
-                if retire:
-                    order = row_order(query, values)
-                    results[position] = TopKResult(
-                        query=query,
-                        partners=top_partners(query, values, order, k),
-                        iterations=iterations, certified=True,
-                    )
-                else:
-                    remaining.append(position)
-            active[:] = remaining
-
-        if shards > 1:
-            sharded = self._search_many_sharded(
-                queries, k, compiled, shards, results, active,
-                certify_active, row_ids, row_extra, row_order,
-                top_partners,
-            )
-            if sharded is not None:
-                return sharded
-
-        scores = compiled.scores0.copy()
-        upd = np.arange(len(compiled.upd_arena), dtype=np.int64)
-        iterations = 0
-        with executor.sweep_session(vectorized) as sweep:
-            sweep = sweep or vectorized.sweep
-            for _ in range(cfg.iteration_budget()):
-                iterations += 1
-                if upd.size:
-                    new_values = sweep(scores, upd)
-                    arena_ids = compiled.upd_arena[upd]
-                    change = np.abs(new_values - scores[arena_ids])
-                    delta = float(change.max())
-                    scores[arena_ids] = new_values
-                    dirty = arena_ids[change > vectorized.dirty_tolerance]
-                else:
-                    delta = 0.0
-                    dirty = np.empty(0, dtype=np.int64)
-                converged = delta < cfg.epsilon
-                certify_active(
-                    lambda query: row_values(query, scores),
-                    delta, converged, iterations,
-                )
-                if not active:
-                    break
-                upd = compiled.dependents(dirty)
-            # Release the last sweep's zero-copy out-buffer view before
-            # the session closes its shared-memory blocks.
-            new_values = None  # noqa: F841
-        for position in active:  # iteration budget exhausted: best effort
-            query = queries[position]
-            values = row_values(query, scores)
-            order = row_order(query, values)
-            results[position] = TopKResult(
-                query=query,
-                partners=top_partners(query, values, order, k),
-                iterations=iterations, certified=False,
-            )
-        return results
-
-    def _search_many_sharded(self, queries, k, compiled, shards, results,
-                             active, certify_active, row_ids, row_extra,
-                             row_order, top_partners):
-        """The batch search over the sharded runtime, or ``None`` when
-        the instance is too small to shard (the caller runs the
-        bitwise-identical unsharded loop).
-
-        The union of the query rows becomes the runtime's *watch set*:
-        those scores arrive in the parent after every iteration barrier
-        (O(watch) traffic) and feed the same retirement rule, so
-        results -- partners, scores, iterations, certification -- are
-        bitwise identical to the unsharded loop.
-        """
-        import numpy as np
-
-        from repro.runtime.sharded import open_sharded_runtime
-
-        runtime = open_sharded_runtime(compiled, shards)
-        if runtime is None:
-            return None
-        query_set = sorted(set(queries), key=repr)
-        if query_set:
-            watch = np.unique(np.concatenate(
-                [row_ids[query] for query in query_set]
-            ).astype(np.int64))
-        else:
-            watch = np.empty(0, dtype=np.int64)
-        row_pos = {
-            query: np.searchsorted(watch, row_ids[query])
-            for query in query_set
-        }
-        state = {"iterations": 0,
-                 "values": compiled.scores0[watch].copy()}
-
-        def on_iteration(iteration, watch_values, delta, converged):
-            state["iterations"] = iteration
-            state["values"] = watch_values
-            certify_active(
-                lambda query: np.concatenate(
-                    (watch_values[row_pos[query]], row_extra[query])
-                ),
-                delta, converged, iteration,
-            )
-            return not active
-
-        try:
-            _, iterations, _, _ = runtime.iterate(
-                watch=watch, on_iteration=on_iteration
-            )
-        finally:
-            runtime.close()
-        for position in active:  # iteration budget exhausted: best effort
-            query = queries[position]
-            values = np.concatenate(
-                (state["values"][row_pos[query]], row_extra[query])
-            )
-            order = row_order(query, values)
-            results[position] = TopKResult(
-                query=query,
-                partners=top_partners(query, values, order, k),
-                iterations=iterations, certified=False,
-            )
-        return results
+        return self._certify(
+            queries,
+            lambda hook: run_compiled(compiled, executor, shards,
+                                      watch=watch, on_iteration=hook),
+            certify,
+        )
 
 
 def top_k_similar(

@@ -18,10 +18,9 @@ but on the integer-indexed representation of :mod:`repro.core.compile`:
   sums it in the reference's visit order.  The repr-rank reproduces
   the reference tie-breaking bit for bit (see ``CompiledFSim.tie_rank``);
 - after each sweep, the *incremental scheduler* re-queues only the pairs
-  whose Equation-3 inputs changed (``dirty_tolerance`` widens "changed"
-  to ``|change| > tol``; the default 0.0 keeps the trajectory bitwise
+  whose Equation-3 inputs changed; the trajectory stays bitwise
   identical to the reference engine, because recomputing a pair from
-  unchanged inputs reproduces its value exactly).
+  unchanged inputs reproduces its value exactly.
 
 The engine is selected through ``FSimConfig(backend=...)`` -- see
 :meth:`repro.core.engine.FSimEngine.run` for the dispatch rules and
@@ -42,21 +41,14 @@ from repro.core.compile import (
     segment_sum,
 )
 
-#: Arena-pair score changes larger than this re-queue the dependent pairs
-#: for the next sweep.  0.0 (exact) is sound for any configuration: a
-#: pair none of whose inputs changed recomputes to the same float.
-DEFAULT_DIRTY_TOLERANCE = 0.0
-
 SweepFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class VectorizedFSimEngine:
     """Array-program evaluator for one compiled FSim instance."""
 
-    def __init__(self, compiled: CompiledFSim,
-                 dirty_tolerance: float = DEFAULT_DIRTY_TOLERANCE):
+    def __init__(self, compiled: CompiledFSim):
         self.compiled = compiled
-        self.dirty_tolerance = float(dirty_tolerance)
         #: Per-sweep cache of the arena greedy visit order (both
         #: directions of a sweep read the same pre-sweep scores).
         self._order_cache = None
@@ -244,6 +236,8 @@ class VectorizedFSimEngine:
         self,
         sweep: Optional[SweepFn] = None,
         trajectory: Optional[List[np.ndarray]] = None,
+        watch: Optional[np.ndarray] = None,
+        on_iteration: Optional[Callable[..., bool]] = None,
     ) -> Tuple[np.ndarray, int, bool, List[float]]:
         """Run Algorithm 1 to convergence; returns
         ``(scores, iterations, converged, deltas)``.
@@ -253,6 +247,12 @@ class VectorizedFSimEngine:
         (the per-iteration Jacobi trajectory) -- the state
         :meth:`iterate_incremental` replays.  Memory is
         ``(iterations + 1) * num_feasible`` floats.
+
+        ``on_iteration(iteration, scores[watch], delta, converged)`` is
+        called after every sweep (``None`` in place of the watched
+        scores when ``watch`` is ``None``); returning True stops the
+        loop -- the contract of
+        :meth:`repro.runtime.sharded.ShardedSweepRuntime.iterate`.
         """
         compiled = self.compiled
         sweep = sweep or self.sweep
@@ -275,15 +275,20 @@ class VectorizedFSimEngine:
                     change = np.abs(new_values - scores[arena_ids])
                     delta = float(change.max())
                     scores[arena_ids] = new_values
-                    dirty = arena_ids[change > self.dirty_tolerance]
+                    dirty = arena_ids[change > 0.0]
                 else:
                     delta = 0.0
                     dirty = np.empty(0, dtype=np.int64)
                 deltas.append(delta)
                 if trajectory is not None:
                     trajectory.append(scores.copy())
-                if delta < epsilon:
-                    converged = True
+                converged = delta < epsilon
+                if on_iteration is not None and on_iteration(
+                    iterations, None if watch is None else scores[watch],
+                    delta, converged,
+                ):
+                    break
+                if converged:
                     break
                 upd = compiled.dependents(dirty)
         observe_iterations(iterations, converged)
@@ -298,7 +303,7 @@ class VectorizedFSimEngine:
     ) -> Tuple[np.ndarray, int, bool, List[float]]:
         """Replay the cold Jacobi trajectory after a structural delta.
 
-        With ``dirty_tolerance == 0.0`` the scheduled iteration of
+        The scheduled iteration of
         :meth:`iterate` follows the full Jacobi trajectory bit for bit
         (a pair none of whose inputs changed recomputes to the same
         float), so the cold run after a graph delta is a deterministic
@@ -383,41 +388,21 @@ def run_vectorized(engine, executor, shards: Optional[int] = None):
 
     ``engine`` is a :class:`repro.core.engine.FSimEngine`; the caller has
     already checked :func:`repro.core.engine.vectorized_fallback_reason`.
-    ``executor`` (an :class:`repro.runtime.executor.Executor`) runs the
-    sweeps; every executor returns the same
-    :class:`~repro.core.engine.FSimResult` bit for bit.
-
-    ``shards`` (default ``config.shards``) > 1 selects the persistent
-    sharded runtime (:mod:`repro.runtime.sharded`): pair-space slices
-    owned by dedicated workers, boundary-only exchange per iteration.
-    Sharded results are bitwise identical; instances too small to shard
-    silently run unsharded.
+    The fixed point runs through :func:`repro.runtime.driver.run_compiled`
+    -- the sharded runtime when ``shards`` (default ``config.shards``)
+    > 1 and the instance shards, else ``executor``'s sweep session
+    (an :class:`repro.runtime.executor.Executor`).  Every runner returns
+    the same :class:`~repro.core.engine.FSimResult` bit for bit.
     """
     from repro.core.engine import FSimResult
+    from repro.runtime.driver import run_compiled
 
     compiled = compile_fsim(engine.graph1, engine.graph2, engine.config)
     if shards is None:
         shards = engine.config.shards
-    if int(shards) > 1:
-        from repro.runtime.sharded import run_sharded
-
-        scores, iterations, converged, deltas = run_sharded(
-            compiled, int(shards)
-        )
-        return FSimResult(
-            scores=compiled.result_scores(scores),
-            config=engine.config,
-            iterations=iterations,
-            converged=converged,
-            deltas=deltas,
-            num_candidates=compiled.num_candidates,
-            fallback=engine.result_fallback(),
-        )
-    vectorized = VectorizedFSimEngine(compiled)
-    with executor.sweep_session(vectorized) as sweep:
-        scores, iterations, converged, deltas = vectorized.iterate(
-            sweep=sweep
-        )
+    scores, iterations, converged, deltas = run_compiled(
+        compiled, executor, shards
+    )
     return FSimResult(
         scores=compiled.result_scores(scores),
         config=engine.config,

@@ -28,7 +28,11 @@ session and each shard's compiled rows live worker-local for the
 session's lifetime -- only boundary scores cross processes per Jacobi
 iteration (a shared-memory halo exchange), instead of re-broadcasting
 O(arena) state.  Sharded results are bitwise identical too.
+:func:`~repro.runtime.driver.run_compiled` is the one place that picks
+between the shards and an executor's sweep session.
 """
+
+from repro.runtime.driver import run_compiled
 
 from repro.runtime.executor import (
     Executor,
@@ -48,14 +52,13 @@ from repro.runtime.sharded import (
     InProcessShardRunner,
     ShardedSweepRuntime,
     open_sharded_runtime,
-    run_sharded,
 )
 
 __all__ = [
     "InProcessShardRunner",
     "ShardedSweepRuntime",
     "open_sharded_runtime",
-    "run_sharded",
+    "run_compiled",
     "Executor",
     "SerialExecutor",
     "SharedMemoryExecutor",

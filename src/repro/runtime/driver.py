@@ -1,27 +1,28 @@
-"""Iteration drivers that run engine workloads on an executor.
+"""Iteration drivers: the one fixed-point loop per engine, on a runner.
 
 The fixed-point orchestration (scheduling, convergence, result
 assembly) stays in the parent; executors only evaluate Jacobi steps.
-These drivers are what the public entry points
-(:meth:`repro.core.engine.FSimEngine.run`,
-:func:`repro.core.api.fsim_matrix_many`) delegate to.
-
-These drivers broadcast the full compiled arena to every worker each
-session.  For long-lived sessions over large arenas, the persistent
-sharded runtime (:mod:`repro.runtime.sharded`) inverts that ownership:
-each worker holds one pair-space shard for the session lifetime and
-only boundary ("halo") scores cross process boundaries per iteration.
-``FSimConfig(shards=...)`` selects it; results stay bitwise identical.
+:func:`run_reference_engine` is the dict engine's loop and
+:func:`run_compiled` picks the runner of the compiled engine's loop:
+the persistent sharded runtime (:mod:`repro.runtime.sharded`; each
+worker owns one pair-space shard and only boundary scores cross
+processes per iteration) when ``shards > 1`` and the instance shards,
+otherwise the executor's sweep session.  Both loops take an
+``on_iteration`` hook, which is how top-k search
+(:mod:`repro.core.topk`) plugs its certification rule into the same
+loops :meth:`repro.core.engine.FSimEngine.run` uses.  Results are
+bitwise identical on every runner.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.runtime.executor import Executor, round_robin_shards
 
 
-def run_reference_engine(engine, executor: Executor):
+def run_reference_engine(engine, executor: Executor,
+                         on_iteration: Optional[Callable[..., bool]] = None):
     """The reference (dict) engine's full iteration on ``executor``.
 
     One loop serves serial and parallel alike: when the executor's pair
@@ -32,6 +33,9 @@ def run_reference_engine(engine, executor: Executor):
     Results are bitwise identical either way -- iteration k reads only
     iteration k-1 scores, and the shard-local max-delta reduction
     maxes the same change set the serial walk takes.
+
+    ``on_iteration(iteration, scores, delta, converged)`` is called with
+    the score dict after every iteration; returning True stops the loop.
     """
     from repro.core.engine import FSimResult, update_pairs
 
@@ -55,8 +59,12 @@ def run_reference_engine(engine, executor: Executor):
                 current[pair] = value
             prev = current
             deltas.append(delta)
-            if delta < cfg.epsilon:
-                converged = True
+            converged = delta < cfg.epsilon
+            if on_iteration is not None and on_iteration(
+                iterations, prev, delta, converged
+            ):
+                break
+            if converged:
                 break
     return FSimResult(
         scores=prev,
@@ -70,6 +78,39 @@ def run_reference_engine(engine, executor: Executor):
         num_candidates=len(candidates),
         fallback=engine.result_fallback(),
     )
+
+
+def run_compiled(compiled, executor: Executor, shards: int = 1,
+                 watch=None,
+                 on_iteration: Optional[Callable[..., bool]] = None):
+    """Algorithm 1 over ``compiled`` on the one runner that fits; returns
+    ``(scores, iterations, converged, deltas)``.
+
+    The sharded runtime runs it when ``shards > 1`` and the runtime
+    opens (the instance is large enough to shard) and publishes its
+    slices (the compiled state pickles -- otherwise a RuntimeWarning);
+    else :meth:`~repro.core.vectorized.VectorizedFSimEngine.iterate`
+    runs it on ``executor``'s sweep session.  ``watch`` and
+    ``on_iteration`` follow the contract both loops share.  Every
+    runner is bitwise identical; a run stopped by ``on_iteration`` on
+    the shards returns ``None`` scores.
+    """
+    from repro.core.vectorized import VectorizedFSimEngine
+    from repro.runtime import sharded
+
+    runtime = sharded.open_sharded_runtime(compiled, shards)
+    if runtime is not None:
+        try:
+            return runtime.iterate(watch=watch, on_iteration=on_iteration)
+        except sharded.ShardedUnavailable:
+            # Raised while publishing, before the first iteration.
+            sharded.warn_unsharded()
+        finally:
+            runtime.close()
+    vectorized = VectorizedFSimEngine(compiled)
+    with executor.sweep_session(vectorized) as sweep:
+        return vectorized.iterate(sweep=sweep, watch=watch,
+                                  on_iteration=on_iteration)
 
 
 def run_engines(engines: Sequence, executor: Executor) -> List:

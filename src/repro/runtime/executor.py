@@ -222,11 +222,9 @@ def _dumps_compiled(compiled, wrap) -> bytes:
 
 def _transportable_vectorized(vectorized) -> Optional[bytes]:
     """The pickled sweep-session payload, or ``None`` when unpicklable."""
-    tolerance = float(vectorized.dirty_tolerance)
     try:
         return _dumps_compiled(
-            vectorized.compiled,
-            lambda compiled: {"sweep": (compiled, tolerance)},
+            vectorized.compiled, lambda compiled: {"sweep": compiled}
         )
     except Exception:
         return None
@@ -315,7 +313,7 @@ def _replay_patch_journal(entry: dict, delta_name: str,
     from repro.streaming.patch import replay_journal_entry
 
     journal = _read_payload(delta_name)["journal"]
-    compiled, _tolerance = entry["state"]["sweep"]
+    compiled = entry["state"]["sweep"]
     for patch in journal[entry["applied"]:journal_len]:
         replay_journal_entry(compiled, patch)
     entry["applied"] = journal_len
@@ -338,8 +336,7 @@ def _shm_sweep_worker(task) -> None:
     if engine is None:
         from repro.core.vectorized import VectorizedFSimEngine
 
-        compiled, tolerance = state["sweep"]
-        engine = VectorizedFSimEngine(compiled, tolerance)
+        engine = VectorizedFSimEngine(state["sweep"])
         state["engine"] = engine
     scores = np.frombuffer(
         _attach_block(scores_name).buf, dtype=np.float64, count=scores_cap
@@ -425,7 +422,6 @@ class SweepChannel:
         self._journal: List[tuple] = []
         self._published = 0
         self._compiled_ref = None  # weakref to the broadcast instance
-        self._tolerance: Optional[float] = None
         self._buffers = None
         self._buffer_caps = None
         self.closed = False
@@ -466,7 +462,6 @@ class SweepChannel:
         self._journal = []
         self._published = 0
         self._compiled_ref = None
-        self._tolerance = None
 
     def close(self) -> None:
         if self.closed:
@@ -488,11 +483,9 @@ class SweepChannel:
         block whenever the journal grew past what was last shipped.
         """
         compiled = vectorized.compiled
-        tolerance = float(vectorized.dirty_tolerance)
         if (self._base_block is not None
-                and ((self._compiled_ref() if self._compiled_ref is not None
-                      else None) is not compiled
-                     or self._tolerance != tolerance)):
+                and (self._compiled_ref() if self._compiled_ref is not None
+                     else None) is not compiled):
             # The session recompiled into a new instance out-of-band.
             self.invalidate()
         if self._base_block is None:
@@ -501,7 +494,6 @@ class SweepChannel:
                 return None, ("", 0)
             self._base_block = self._executor._publish(payload)
             self._compiled_ref = weakref.ref(compiled)
-            self._tolerance = tolerance
             self._journal = []
             self._published = 0
             self.base_broadcasts += 1

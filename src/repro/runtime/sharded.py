@@ -35,6 +35,13 @@ replay trajectory: after every edit it re-runs the fixed point cold on
 the patched slices, which is bitwise equal to the unsharded session's
 trajectory replay (the replay reproduces the cold run by construction).
 
+The runtime is one of the two runners of the compiled fixed-point loop;
+:func:`repro.runtime.driver.run_compiled` picks it for
+:meth:`~repro.core.engine.FSimEngine.run` and top-k search, and falls
+back to the unsharded loop when :func:`open_sharded_runtime` declines
+or the slices cannot be published (:class:`ShardedUnavailable`).  Its
+``watch`` / ``on_iteration`` hook carries top-k's certification rule.
+
 :class:`InProcessShardRunner` drives the identical
 :class:`_ShardWorkerState` protocol inside one process (no pools, no
 shared memory) so property tests can exercise the sharded scheduler and
@@ -75,6 +82,13 @@ class ShardedUnavailable(RuntimeError):
     bitwise identical."""
 
 
+def warn_unsharded() -> None:
+    """The warning every caller gives when it falls back from
+    :class:`ShardedUnavailable` to the unsharded loop."""
+    warnings.warn("compiled state is not picklable; running unsharded",
+                  RuntimeWarning, stacklevel=3)
+
+
 # ----------------------------------------------------------------------
 # the shard protocol (runs identically in-process and in workers)
 # ----------------------------------------------------------------------
@@ -89,14 +103,12 @@ class _ShardWorkerState:
     dirty scheduler.
     """
 
-    def __init__(self, compiled_slice, tolerance: float, halo_ids,
-                 halo_owner, shard: int):
+    def __init__(self, compiled_slice, halo_ids, halo_owner, shard: int):
         from repro.core.vectorized import VectorizedFSimEngine
 
         self.compiled = compiled_slice
         self.shard = int(shard)
-        self.tolerance = float(tolerance)
-        self.engine = VectorizedFSimEngine(compiled_slice, tolerance)
+        self.engine = VectorizedFSimEngine(compiled_slice)
         self.set_halo(halo_ids, halo_owner)
         self.reset()
 
@@ -126,7 +138,7 @@ class _ShardWorkerState:
         The import refreshes every non-owned halo score (owners export
         all their slots each iteration, so the mirror is always the
         pre-sweep global state) and unions the flagged pairs -- those
-        whose owner recorded ``change > tolerance`` last iteration --
+        whose score changed at their owner last iteration --
         into the dirty frontier, reproducing the unsharded scheduler's
         ``dependents(dirty)`` row selection restricted to this shard.
         """
@@ -150,7 +162,7 @@ class _ShardWorkerState:
             change = np.abs(new_values - self.scores[arena_ids])
             delta = float(change.max())
             self.scores[arena_ids] = new_values
-            self.dirty_own = arena_ids[change > self.tolerance]
+            self.dirty_own = arena_ids[change > 0.0]
         else:
             delta = 0.0
             self.dirty_own = np.empty(0, dtype=np.int64)
@@ -175,7 +187,7 @@ class _ShardWorkerState:
         replay_journal_entry(self.compiled, patch)
         # The engine caches per-structure slot state keyed on the
         # pre-patch structures -- rebuild it on the patched slice.
-        self.engine = VectorizedFSimEngine(self.compiled, self.tolerance)
+        self.engine = VectorizedFSimEngine(self.compiled)
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +208,8 @@ def _load_shard(payload_name: str, session_id: int) -> dict:
     if entry is None:
         payload = _read_payload(payload_name)
         state = _ShardWorkerState(
-            payload["slice"], payload["tolerance"],
-            payload["halo_ids"], payload["halo_owner"], payload["shard"],
+            payload["slice"], payload["halo_ids"], payload["halo_owner"],
+            payload["shard"],
         )
         if payload.get("arena_backend") == "memmap":
             # The slice arrived as in-memory bytes (numpy materializes
@@ -345,12 +357,10 @@ class ShardedSweepRuntime:
     same compiled instance.
     """
 
-    def __init__(self, compiled, partition: PairPartition,
-                 tolerance: float = 0.0, executor=None,
+    def __init__(self, compiled, partition: PairPartition, executor=None,
                  start_method: Optional[str] = None):
         self.compiled = compiled
         self.partition = partition
-        self.tolerance = float(tolerance)
         self.closed = False
         self._start_method = start_method
         self._pools: Optional[List] = None
@@ -436,7 +446,6 @@ class ShardedSweepRuntime:
         try:
             return _dumps_compiled(compiled_slice, lambda clone: {
                 "slice": clone,
-                "tolerance": self.tolerance,
                 "halo_ids": self._halo_ids,
                 "halo_owner": self._halo_owner,
                 "shard": shard,
@@ -707,14 +716,13 @@ class InProcessShardRunner:
     so hypothesis can shrink failures deterministically.
     """
 
-    def __init__(self, compiled, partition: PairPartition,
-                 tolerance: float = 0.0):
+    def __init__(self, compiled, partition: PairPartition):
         self.compiled = compiled
         self.partition = partition
         self.states = [
             _ShardWorkerState(
                 compiled.build_row_subset(partition.positions[shard]),
-                tolerance, partition.halo_ids, partition.halo_owner, shard,
+                partition.halo_ids, partition.halo_owner, shard,
             )
             for shard in range(partition.shards)
         ]
@@ -772,8 +780,7 @@ class InProcessShardRunner:
 # ----------------------------------------------------------------------
 # session factory
 # ----------------------------------------------------------------------
-def open_sharded_runtime(compiled, shards: int, tolerance: float = 0.0,
-                         executor=None,
+def open_sharded_runtime(compiled, shards: int, executor=None,
                          min_updatable: int = MIN_PARALLEL_UPD,
                          start_method: Optional[str] = None
                          ) -> Optional[ShardedSweepRuntime]:
@@ -791,26 +798,6 @@ def open_sharded_runtime(compiled, shards: int, tolerance: float = 0.0,
     if partition.shards <= 1:
         return None
     return ShardedSweepRuntime(
-        compiled, partition, tolerance=tolerance, executor=executor,
-        start_method=start_method,
+        compiled, partition, executor=executor, start_method=start_method,
     )
 
-
-def run_sharded(compiled, shards: int):
-    """One-shot sharded fixed point over ``compiled``; falls back to the
-    unsharded engine (bitwise identical) when sharding cannot be
-    established.  Returns ``(scores, iterations, converged, deltas)``."""
-    runtime = open_sharded_runtime(compiled, shards)
-    if runtime is not None:
-        try:
-            return runtime.iterate()
-        except ShardedUnavailable:
-            warnings.warn(
-                "compiled state is not picklable; running unsharded",
-                RuntimeWarning,
-            )
-        finally:
-            runtime.close()
-    from repro.core.vectorized import VectorizedFSimEngine
-
-    return VectorizedFSimEngine(compiled).iterate()

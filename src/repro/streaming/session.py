@@ -284,14 +284,22 @@ class IncrementalFSim:
 
     def _run_cold(self, compiled: CompiledFSim):
         """Run the fixed point from the L-initialization on ``compiled``:
-        across the shards when the session is sharded, else on the
-        pool sweep, recording the replay trajectory when it fits."""
-        if self.shards > 1:
-            sharded = self._ensure_sharded(compiled)
-            if sharded is not None:
+        across the shards when the session is sharded and its slices
+        publish, else on the pool sweep, recording the replay
+        trajectory when it fits."""
+        from repro.runtime.sharded import ShardedUnavailable, warn_unsharded
+
+        sharded = self._ensure_sharded(compiled)
+        if sharded is not None:
+            try:
+                outcome = sharded.iterate()
+            except ShardedUnavailable:
+                self._discard_sharded()
+                warn_unsharded()
+            else:
                 self._trajectory = None
                 self.stats["sharded_runs"] += 1
-                return sharded.iterate()
+                return outcome
         engine = VectorizedFSimEngine(compiled)
         trajectory = [] if self._fits_trajectory(compiled) else None
         with self.executor.sweep_session(engine,
@@ -343,8 +351,9 @@ class IncrementalFSim:
     # ------------------------------------------------------------------
     def _ensure_sharded(self, compiled: CompiledFSim):
         """The session's sharded runtime over ``compiled``, opened
-        lazily (``None`` when the instance is too small to shard -- the
-        caller falls back to the bitwise-identical unsharded paths)."""
+        lazily (``None`` when the session is unsharded or the instance
+        is too small to shard -- the caller falls back to the
+        bitwise-identical unsharded paths)."""
         from repro.runtime.sharded import open_sharded_runtime
 
         if self._sharded is not None and not self._sharded.closed:

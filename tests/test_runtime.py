@@ -136,17 +136,22 @@ class TestSharedRuntimeLayers:
         g = medium_random_graph
         queries = g.nodes()[:4]
         for backend in ("python", "numpy"):
-            cfg = FSimConfig(
-                variant=Variant.S, label_function="indicator",
-                backend=backend,
-            )
-            search = TopKSearch(g, g, cfg)
-            serial = search.search_many(queries, 3)
-            parallel = search.search_many(queries, 3, executor=shm_executor)
-            for a, b in zip(serial, parallel):
-                assert a.partners == b.partners
-                assert a.iterations == b.iterations
-                assert a.certified == b.certified
+            # max_iterations=2 runs out of budget before certification.
+            for max_iterations in (None, 2):
+                cfg = FSimConfig(
+                    variant=Variant.S, label_function="indicator",
+                    backend=backend, max_iterations=max_iterations,
+                )
+                search = TopKSearch(g, g, cfg)
+                serial = search.search_many(queries, 3)
+                parallel = search.search_many(queries, 3,
+                                              executor=shm_executor)
+                for a, b in zip(serial, parallel):
+                    assert a.partners == b.partners
+                    assert a.iterations == b.iterations
+                    assert a.certified == b.certified
+                if max_iterations == 2:
+                    assert not all(a.certified for a in serial)
 
     def test_query_sharding_parity(self, medium_random_graph, shm_executor):
         data = medium_random_graph

@@ -26,13 +26,16 @@ from repro.core.partition import compute_halo, partition_pairs
 from repro.core.topk import TopKSearch
 from repro.core.vectorized import VectorizedFSimEngine
 from repro.exceptions import ConfigError
+from repro.graph.digraph import LabeledDigraph
 from repro.graph.generators import random_graph, uniform_labels
 from repro.obs import metrics
-from repro.obs.profiling import PHASE_HISTOGRAM
+from repro.obs.profiling import ITERATIONS_HISTOGRAM, PHASE_HISTOGRAM
 from repro.runtime import (
+    SerialExecutor,
     SharedMemoryExecutor,
     evict_idle_executors,
     get_executor,
+    run_compiled,
     shutdown_all,
     shutdown_executors,
 )
@@ -43,7 +46,6 @@ from repro.runtime.sharded import (
     InProcessShardRunner,
     ShardedSweepRuntime,
     open_sharded_runtime,
-    run_sharded,
 )
 from repro.service import ClientPool, GraphStore, ServerThread
 from repro.service.client import ServiceConnectionError
@@ -93,10 +95,8 @@ def low_threshold(monkeypatch):
     """
     orig = sharded_module.open_sharded_runtime
 
-    def _open(compiled, shards, tolerance=0.0, executor=None,
-              min_updatable=None):
-        return orig(compiled, shards, tolerance=tolerance,
-                    executor=executor, min_updatable=1)
+    def _open(compiled, shards, executor=None, min_updatable=None):
+        return orig(compiled, shards, executor=executor, min_updatable=1)
 
     monkeypatch.setattr(sharded_module, "open_sharded_runtime", _open)
     return _open
@@ -223,9 +223,9 @@ class TestProcessParity:
         g1 = random_graph(8, 16, uniform_labels(8, 2, seed=3), seed=4)
         compiled = compile_fsim(g1, g1, make_config(variant=Variant.S))
         ref = VectorizedFSimEngine(compiled).iterate()
-        # Tiny workload: open declines, run_sharded silently degrades.
+        # Tiny workload: open declines, run_compiled silently degrades.
         assert open_sharded_runtime(compiled, 4) is None
-        assert_bitwise(ref, run_sharded(compiled, 4))
+        assert_bitwise(ref, run_compiled(compiled, SerialExecutor(), 4))
 
     def test_open_declines_single_shard(self):
         g1, g2 = make_pair()
@@ -251,15 +251,78 @@ class TestProcessParity:
 
     def test_topk_sharded_parity(self, low_threshold):
         g1, g2 = make_pair(seed=29)
-        config = make_config(variant=Variant.DP)
         queries = list(g1.nodes())[:5]
-        base = TopKSearch(g1, g2, config).search_many(queries, 3)
-        shd = TopKSearch(g1, g2, config).search_many(queries, 3, shards=3)
-        for a, b in zip(base, shd):
-            assert a.query == b.query
-            assert a.partners == b.partners
-            assert a.iterations == b.iterations
-            assert a.certified == b.certified
+        # max_iterations=2 runs out of budget before certification.
+        for max_iterations in (None, 2):
+            config = make_config(variant=Variant.DP,
+                                 max_iterations=max_iterations)
+            base = TopKSearch(g1, g2, config).search_many(queries, 3)
+            shd = TopKSearch(g1, g2, config).search_many(queries, 3,
+                                                         shards=3)
+            for a, b in zip(base, shd):
+                assert a.query == b.query
+                assert a.partners == b.partners
+                assert a.iterations == b.iterations
+                assert a.certified == b.certified
+            if max_iterations == 2:
+                assert not all(a.certified for a in base)
+
+
+def unpicklable_graph():
+    """An 80-node graph (1,646 updatable pairs under FSim_b, theta=1)
+    whose node ids are instances of a function-local class, so its
+    compiled state cannot be pickled to the shard workers."""
+
+    class LocalNode:
+        def __init__(self, index):
+            self.index = index
+
+        def __repr__(self):
+            return f"n{self.index:02d}"
+
+    base = random_graph(80, 400, uniform_labels(80, 4, seed=3), seed=4)
+    nodes = {node: LocalNode(node) for node in base.nodes()}
+    graph = LabeledDigraph()
+    for node in base.nodes():
+        graph.add_node(nodes[node], base.label(node))
+    for source, target in base.edges():
+        graph.add_edge(nodes[source], nodes[target])
+    return graph
+
+
+class TestUnpicklableFallback:
+    """Every layer that shards falls back to the unsharded loop, with a
+    RuntimeWarning, when the shard slices cannot be published."""
+
+    @staticmethod
+    def _run(layer, graph, shards):
+        config = make_config(variant=Variant.B, theta=1.0)
+        if layer == "fsim":
+            result = FSimEngine(graph, graph, config).run(shards=shards)
+            return result.scores, result.iterations, result.deltas
+        if layer == "topk":
+            return TopKSearch(graph, graph, config).search_many(
+                graph.nodes()[:8], 3, shards=shards
+            )
+        evolving = graph.copy()
+        with IncrementalFSim(evolving, graph, config,
+                             shards=shards) as session:
+            results = [session.compute()]
+            session.log1.remove_edge(*next(iter(evolving.edges())))
+            results.append(session.compute())
+        return [(r.scores, r.iterations, r.deltas) for r in results]
+
+    @pytest.mark.parametrize("layer", ["fsim", "topk", "stream"])
+    def test_falls_back_with_a_warning(self, layer):
+        graph = unpicklable_graph()
+        compiled = compile_fsim(graph, graph,
+                                make_config(variant=Variant.B, theta=1.0))
+        assert open_sharded_runtime(compiled, 2) is not None
+        expected = self._run(layer, graph, shards=1)
+        with pytest.warns(RuntimeWarning,
+                          match="not picklable; running unsharded"):
+            got = self._run(layer, graph, shards=2)
+        assert got == expected
 
 
 # ----------------------------------------------------------------------
@@ -573,6 +636,19 @@ class TestShardingObservability:
         hist = fresh_registry.get(PHASE_HISTOGRAM,
                                   phase="compile.partition")
         assert hist is not None and hist.count >= 1
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_topk_records_one_iterate_phase(self, fresh_registry,
+                                            low_threshold, shards):
+        g1, g2 = make_pair(seed=89)
+        TopKSearch(g1, g2, make_config()).search_many(
+            list(g1.nodes())[:4], 3, shards=shards
+        )
+        hist = fresh_registry.get(PHASE_HISTOGRAM, phase="engine.iterate")
+        assert hist is not None and hist.count == 1
+        runs = [fresh_registry.get(ITERATIONS_HISTOGRAM, converged=flag)
+                for flag in ("true", "false")]
+        assert sum(run.count for run in runs if run is not None) == 1
 
 
 # ----------------------------------------------------------------------

@@ -50,8 +50,15 @@ class TestTopKBackendParity:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_variants(self, variant, graph_pair):
         g1, g2 = graph_pair
-        config = FSimConfig(variant=variant, label_function="indicator")
-        assert_topk_parity(g1, g2, config, list(g1.nodes())[:4], 3)
+        # max_iterations=2 runs out of budget before certification.
+        for max_iterations in (None, 2):
+            config = FSimConfig(variant=variant, label_function="indicator",
+                                max_iterations=max_iterations)
+            python, _ = assert_topk_parity(
+                g1, g2, config, list(g1.nodes())[:4], 3
+            )
+            if max_iterations == 2:
+                assert not all(result.certified for result in python)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_pruning_modes(self, variant, graph_pair):
