@@ -4,15 +4,10 @@ Times the reference (dict) engine against the vectorized numpy backend
 on the Fig-9(b) configuration -- FSimbj{ub, theta=1} over the NELL and
 ACMCit emulators at increasing density -- and writes a machine-readable
 ``BENCH_backends.json`` next to the repo's other benchmark results, so
-future performance PRs have a trajectory to compare against.
+future performance changes have a trajectory to compare against.  Run
+it through :mod:`harness` (prints a table and writes the JSON):
 
-Run standalone (preferred; prints a table and writes the JSON):
-
-    PYTHONPATH=src python benchmarks/bench_backend_speedup.py
-
-or through pytest-benchmark along with the other benchmarks:
-
-    pytest benchmarks/bench_backend_speedup.py --benchmark-only -s
+    python benchmarks/bench_backend_speedup.py [--smoke | --no-gate]
 
 The acceptance bar for the vectorized backend is a >= 10x wall-clock win
 at the largest workload size, with both backends' scores agreeing to
@@ -21,25 +16,20 @@ at the largest workload size, with both backends' scores agreeing to
 
 from __future__ import annotations
 
-import json
-import pathlib
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
+from repro.core.api import fsim_matrix
+from repro.core.compile import compile_fsim
+from repro.core.config import FSimConfig
+from repro.core.plan import clear_plan_caches
+from repro.core.vectorized import VectorizedFSimEngine
+from repro.datasets import load_dataset
+from repro.graph.noise import densify
+from repro.simulation import Variant
 
-from repro.core.api import fsim_matrix  # noqa: E402
-from repro.core.compile import compile_fsim  # noqa: E402
-from repro.core.config import FSimConfig  # noqa: E402
-from repro.core.plan import clear_plan_caches  # noqa: E402
-from repro.core.vectorized import VectorizedFSimEngine  # noqa: E402
-from repro.datasets import load_dataset  # noqa: E402
-from repro.graph.noise import densify  # noqa: E402
-from repro.simulation import Variant  # noqa: E402
-
-RESULT_PATH = REPO_ROOT / "BENCH_backends.json"
+RESULT = "BENCH_backends.json"
 
 #: (dataset, density factor) ladder, smallest to largest.  The last row
 #: is "the largest size" of the acceptance criterion.
@@ -53,6 +43,13 @@ WORKLOADS = (
 )
 
 SCORE_TOLERANCE = 1e-9
+
+#: The acceptance bar at the largest size.
+SPEEDUP_GATE = 10.0
+
+#: One small workload: enough to prove the timing and parity plumbing
+#: works without burning CI minutes.
+SMOKE = dict(workloads=(("nell", 1),))
 
 
 def _workload_graph(name: str, factor: int, seed: int = 0):
@@ -114,7 +111,7 @@ def _run_numpy_instrumented(graph):
     )
 
 
-def run_benchmark(workloads=WORKLOADS, check_scores: bool = True):
+def run_benchmark(workloads=WORKLOADS):
     """Time both backends per workload; returns the report dict."""
     rows = []
     for name, factor in workloads:
@@ -122,17 +119,14 @@ def run_benchmark(workloads=WORKLOADS, check_scores: bool = True):
         python_seconds, python_result = _run(graph, "python")
         (numpy_seconds, compile_cold, compile_warm, iterate_seconds,
          numpy_result) = _run_numpy_instrumented(graph)
-        worst = 0.0
-        if check_scores:
-            assert python_result.scores.keys() == numpy_result.scores.keys()
-            worst = max(
-                (
-                    abs(python_result.scores[pair] - value)
-                    for pair, value in numpy_result.scores.items()
-                ),
-                default=0.0,
-            )
-            assert worst <= SCORE_TOLERANCE, (name, factor, worst)
+        assert python_result.scores.keys() == numpy_result.scores.keys()
+        worst = max(
+            (
+                abs(python_result.scores[pair] - value)
+                for pair, value in numpy_result.scores.items()
+            ),
+            default=0.0,
+        )
         rows.append({
             "dataset": name,
             "density": factor,
@@ -187,52 +181,21 @@ def render(report) -> str:
     return "\n".join(lines)
 
 
-def write_report(report, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+def checks(report) -> list:
+    return [
+        f"{row['dataset']} x{row['density']}: scores diverge by "
+        f"{row['max_score_divergence']}"
+        for row in report["rows"]
+        if row["max_score_divergence"] > SCORE_TOLERANCE
+    ]
 
 
-#: The --smoke ladder: one small workload, enough to prove the timing
-#: and parity plumbing works without burning CI minutes.
-SMOKE_WORKLOADS = (("nell", 1),)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny ladder, no speedup gate, no BENCH_backends.json write",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        report = run_benchmark(workloads=SMOKE_WORKLOADS)
-        print(render(report))
-        return 0
-    report = run_benchmark()
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
-    return 0 if report["largest"]["speedup"] >= 10.0 else 1
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point (smaller ladder to keep CI time sane)
-# ----------------------------------------------------------------------
-def test_backend_speedup(benchmark):
-    from conftest import run_once
-
-    report = run_once(
-        benchmark, run_benchmark,
-        workloads=(("nell", 5), ("acmcit", 1), ("acmcit", 5)),
-    )
-    write_report(report)
-    for row in report["rows"]:
-        assert row["max_score_divergence"] <= SCORE_TOLERANCE
-    assert report["largest"]["speedup"] >= 10.0
+def gates(report) -> list:
+    speedup = report["largest"]["speedup"]
+    if speedup < SPEEDUP_GATE:
+        return [f"largest-size speedup {speedup}x < {SPEEDUP_GATE}x gate"]
+    return []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(sys.modules[__name__]))

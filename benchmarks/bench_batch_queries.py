@@ -22,40 +22,28 @@ Writes ``BENCH_batch.json`` with per-phase (compile vs query/iterate)
 timings.  Acceptance: >= 5x end-to-end on both workloads, with batched
 results identical to the per-query baseline.
 
-Run standalone:
+Run it through :mod:`harness`:
 
-    PYTHONPATH=src python benchmarks/bench_batch_queries.py [--smoke]
-
-or through pytest-benchmark:
-
-    pytest benchmarks/bench_batch_queries.py --benchmark-only -s
+    python benchmarks/bench_batch_queries.py [--smoke | --no-gate]
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
+from repro.apps.pattern_matching.matcher import FSimMatcher
+from repro.apps.pattern_matching.queries import Scenario, generate_workload
+from repro.core.api import fsim_matrix
+from repro.core.compile import compile_fsim
+from repro.core.config import FSimConfig
+from repro.core.plan import clear_plan_caches, lower_graph
+from repro.core.topk import TopKSearch
+from repro.datasets import load_dataset
+from repro.simulation import Variant
 
-from repro.apps.pattern_matching.matcher import FSimMatcher  # noqa: E402
-from repro.apps.pattern_matching.queries import (  # noqa: E402
-    Scenario,
-    generate_workload,
-)
-from repro.core.api import fsim_matrix  # noqa: E402
-from repro.core.compile import compile_fsim  # noqa: E402
-from repro.core.config import FSimConfig  # noqa: E402
-from repro.core.plan import clear_plan_caches, lower_graph  # noqa: E402
-from repro.core.topk import TopKSearch  # noqa: E402
-from repro.datasets import load_dataset  # noqa: E402
-from repro.simulation import Variant  # noqa: E402
-
-RESULT_PATH = REPO_ROOT / "BENCH_batch.json"
+RESULT = "BENCH_batch.json"
 
 #: The crossover the "auto" backend used before this PR; the baseline
 #: reproduces it so the comparison is against real pre-PR behavior.
@@ -66,6 +54,9 @@ NUM_TOPK_QUERIES = 10
 TOPK_K = 5
 
 SCORE_TOLERANCE = 1e-9
+
+#: The acceptance bar on both workloads.
+SPEEDUP_GATE = 5.0
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +157,6 @@ def run_topk_workload(num_queries: int = NUM_TOPK_QUERIES, k: int = TOPK_K,
             ], solo.query
             for (_, score1), (_, score2) in zip(solo.partners, many.partners):
                 worst = max(worst, abs(score1 - score2))
-        assert worst <= SCORE_TOLERANCE, worst
     return {
         "workload": (
             f"{len(queries)} certified top-{k} queries, "
@@ -184,11 +174,15 @@ def run_topk_workload(num_queries: int = NUM_TOPK_QUERIES, k: int = TOPK_K,
 
 
 def run_benchmark(num_pattern: int = NUM_PATTERN_QUERIES,
-                  num_topk: int = NUM_TOPK_QUERIES) -> dict:
+                  num_topk: int = NUM_TOPK_QUERIES,
+                  topk_dataset: str = "acmcit") -> dict:
     return {
         "pattern": run_pattern_workload(num_pattern),
-        "topk": run_topk_workload(num_topk),
+        "topk": run_topk_workload(num_topk, dataset=topk_dataset),
     }
+
+
+SMOKE = dict(num_pattern=4, num_topk=2, topk_dataset="nell")
 
 
 def render(report: dict) -> str:
@@ -205,47 +199,19 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+def checks(report: dict) -> list:
+    divergence = report["topk"]["max_score_divergence"]
+    if divergence > SCORE_TOLERANCE:
+        return [f"batched top-k scores diverge by {divergence}"]
+    return []
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny workloads, no speedup gate, no BENCH_batch.json write",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        report = {
-            "pattern": run_pattern_workload(4),
-            "topk": run_topk_workload(2, dataset="nell"),
-        }
-        print(render(report))
-        return 0
-    report = run_benchmark()
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
-    ok = all(row["speedup"] >= 5.0 for row in report.values())
-    return 0 if ok else 1
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point (smaller workloads to keep CI time sane)
-# ----------------------------------------------------------------------
-def test_batch_queries(benchmark):
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark, num_pattern=20, num_topk=10)
-    write_report(report)
-    for row in report.values():
-        assert row["speedup"] >= 5.0, row
+def gates(report: dict) -> list:
+    return [
+        f"{name}: speedup {row['speedup']}x < {SPEEDUP_GATE}x gate"
+        for name, row in report.items() if row["speedup"] < SPEEDUP_GATE
+    ]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(sys.modules[__name__]))

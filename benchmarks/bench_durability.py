@@ -20,35 +20,27 @@ fresh store and the recovered scores are asserted bitwise-equal to the
 live store's -- the same contract ``tests/test_durability.py`` enforces
 at every crash point, measured here at benchmark scale.
 
-Writes ``BENCH_durability.json``.  Run standalone:
+Writes ``BENCH_durability.json`` through :mod:`harness`:
 
-    PYTHONPATH=src python benchmarks/bench_durability.py [--smoke]
+    python benchmarks/bench_durability.py [--smoke | --no-gate]
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import shutil
 import sys
 import tempfile
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
+from repro.core.config import FSimConfig
+from repro.graph.digraph import LabeledDigraph
+from repro.service import GraphStore, WriteAheadLog, recover_store
+from repro.simulation import Variant
+from repro.streaming.delta import DeltaOp
 
-from repro.core.config import FSimConfig  # noqa: E402
-from repro.graph.digraph import LabeledDigraph  # noqa: E402
-from repro.service import (  # noqa: E402
-    GraphStore,
-    WriteAheadLog,
-    recover_store,
-)
-from repro.simulation import Variant  # noqa: E402
-from repro.streaming.delta import DeltaOp  # noqa: E402
-
-RESULT_PATH = REPO_ROOT / "BENCH_durability.json"
+RESULT = "BENCH_durability.json"
 
 #: wal-off must stay within this slowdown factor of no-wal (record
 #: formatting + page-cache writes only; an fsync-free WAL that costs
@@ -160,6 +152,8 @@ def run_recovery(num_nodes: int, mutations: int) -> dict:
 
 MODES = ("no-wal", "wal-off", "wal-batch", "wal-always")
 
+SMOKE = dict(num_nodes=60, mutations=120)
+
 
 def run_benchmark(num_nodes: int = 300, mutations: int = 2000) -> dict:
     modes = {mode: run_mode(mode, num_nodes, mutations) for mode in MODES}
@@ -199,56 +193,20 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def checks(report: dict) -> list:
+    """Recovery parity is asserted inside ``run_recovery``."""
+    if report["modes"]["wal-always"]["fsyncs"] <= 0:
+        return ["wal-always never fsynced"]
+    return []
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny workload, no gate, no BENCH_durability.json write",
-    )
-    parser.add_argument(
-        "--no-gate", action="store_true",
-        help="record throughput and assert recovery parity, but never "
-             "fail on wall clock (shared CI runners)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        report = run_benchmark(num_nodes=60, mutations=120)
-        print(render(report))
-        return 0
-    report = run_benchmark()
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
-    if args.no_gate:
-        print("overhead gate disabled (--no-gate); parity was asserted")
-        return 0
+def gates(report: dict) -> list:
     overhead = report["modes"]["wal-off"]["overhead_vs_no_wal"]
     if overhead > OFF_OVERHEAD_GATE:
-        print(f"FAIL: fsync-free WAL overhead {overhead:.2f}x "
-              f"> {OFF_OVERHEAD_GATE}x gate")
-        return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point
-# ----------------------------------------------------------------------
-def test_durability_overhead(benchmark):
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    write_report(report)
-    assert report["recovery"]["bitwise_identical"]
-    assert report["modes"]["wal-always"]["fsyncs"] > 0
+        return [f"fsync-free WAL overhead {overhead:.2f}x "
+                f"> {OFF_OVERHEAD_GATE}x gate"]
+    return []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(sys.modules[__name__]))

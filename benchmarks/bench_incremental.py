@@ -23,35 +23,26 @@ Per workload size and edit-batch size this benchmark measures:
 Writes ``BENCH_incremental.json``.  Acceptance: >= 5x warm-vs-cold for
 single-edge batches on the largest workload.
 
-Run standalone:
+Run it through :mod:`harness`:
 
-    PYTHONPATH=src python benchmarks/bench_incremental.py [--smoke]
-
-or through pytest-benchmark:
-
-    pytest benchmarks/bench_incremental.py --benchmark-only -s
+    python benchmarks/bench_incremental.py [--smoke | --no-gate]
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import random
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
+from repro.core.api import fsim_matrix
+from repro.core.config import FSimConfig
+from repro.core.plan import clear_plan_caches, lower_graph
+from repro.graph.generators import power_law_graph, uniform_labels
+from repro.simulation import Variant
+from repro.streaming import IncrementalFSim
 
-from repro.core.api import fsim_matrix  # noqa: E402
-from repro.core.config import FSimConfig  # noqa: E402
-from repro.core.plan import clear_plan_caches, lower_graph  # noqa: E402
-from repro.graph.generators import power_law_graph, uniform_labels  # noqa: E402
-from repro.simulation import Variant  # noqa: E402
-from repro.streaming import IncrementalFSim  # noqa: E402
-
-RESULT_PATH = REPO_ROOT / "BENCH_incremental.json"
+RESULT = "BENCH_incremental.json"
 
 #: (name, nodes, labels) -- candidate arenas of ~30k / ~150k / ~490k
 #: pairs under theta=1 indicator labels.
@@ -65,6 +56,8 @@ BATCH_SIZES = (1, 4, 16, 64)
 ROUNDS = 3
 
 SPEEDUP_GATE = 5.0
+
+SMOKE = dict(workloads=[("small", 220, 5)], batch_sizes=(1, 4), rounds=2)
 
 
 def _config() -> FSimConfig:
@@ -172,48 +165,20 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+def checks(report: dict) -> list:
+    """Warm-vs-cold bitwise parity is asserted per round as the run
+    goes; nothing is left to check in the report."""
+    return []
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny workload, no speedup gate, no BENCH_incremental.json write",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        report = {
-            "small": run_workload("small", 220, 5, batch_sizes=(1, 4),
-                                  rounds=2),
-        }
-        print(render(report))
-        return 0
-    report = run_benchmark()
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
+def gates(report: dict) -> list:
     largest = WORKLOADS[-1][0]
-    ok = report[largest]["batches"]["1"]["speedup"] >= SPEEDUP_GATE
-    return 0 if ok else 1
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point
-# ----------------------------------------------------------------------
-def test_incremental(benchmark):
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    write_report(report)
-    largest = WORKLOADS[-1][0]
-    assert report[largest]["batches"]["1"]["speedup"] >= SPEEDUP_GATE, report
+    speedup = report[largest]["batches"]["1"]["speedup"]
+    if speedup < SPEEDUP_GATE:
+        return [f"{largest} single-edge speedup {speedup}x "
+                f"< {SPEEDUP_GATE}x gate"]
+    return []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(sys.modules[__name__]))

@@ -27,34 +27,29 @@ same ~5% throughput envelope of an audit-off server, and every audited
 request must re-execute to a bitwise-matching fingerprint (zero
 divergences, zero reference errors).
 
-Writes ``BENCH_observability.json``.  Run standalone:
+Writes ``BENCH_observability.json`` through :mod:`harness`:
 
-    PYTHONPATH=src python benchmarks/bench_observability.py [--smoke]
+    python benchmarks/bench_observability.py [--smoke | --no-gate]
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import statistics
 import sys
 import threading
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
+from repro.core.config import FSimConfig
+from repro.datasets import load_dataset
+from repro.graph.noise import densify
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import parse_exposition
+from repro.service import GraphStore, ServerThread, ServiceClient
+from repro.service.client import wire_partners
+from repro.simulation import Variant
 
-from repro.core.config import FSimConfig  # noqa: E402
-from repro.datasets import load_dataset  # noqa: E402
-from repro.graph.noise import densify  # noqa: E402
-from repro.obs import metrics as obs_metrics  # noqa: E402
-from repro.obs.metrics import parse_exposition  # noqa: E402
-from repro.service import GraphStore, ServerThread, ServiceClient  # noqa: E402
-from repro.service.client import wire_partners  # noqa: E402
-from repro.simulation import Variant  # noqa: E402
-
-RESULT_PATH = REPO_ROOT / "BENCH_observability.json"
+RESULT = "BENCH_observability.json"
 
 #: Maximum tolerated throughput loss of fully instrumented mode vs
 #: no-op mode (the acceptance bar of the observability PR).
@@ -297,6 +292,9 @@ def run_audit_overhead(factor: float, num_queries: int, clients: int,
     }
 
 
+SMOKE = dict(factor=2.0, num_queries=8, clients=4, rounds=1)
+
+
 def run_benchmark(factor: float = 5.0, num_queries: int = 24,
                   clients: int = 8, window: float = 0.02,
                   max_batch: int = 32, rounds: int = 3) -> dict:
@@ -332,67 +330,22 @@ def render(report: dict) -> str:
     ])
 
 
-def write_report(report: dict, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def checks(report: dict) -> list:
+    """Mode-to-mode parity and the shadow audit's fingerprints are
+    asserted as the run goes; nothing is left to check in the report."""
+    return []
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny workload, no overhead gate, no "
-             "BENCH_observability.json write",
-    )
-    parser.add_argument(
-        "--no-gate", action="store_true",
-        help="record overhead and assert parity, but never fail on "
-             "wall clock (shared CI runners)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        report = run_benchmark(factor=2.0, num_queries=8, clients=4,
-                               rounds=1)
-        print(render(report))
-        return 0
-    report = run_benchmark()
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
-    if args.no_gate:
-        print("overhead gate disabled (--no-gate); parity was asserted")
-        return 0
-    status = 0
-    overhead = report["overhead"]["overhead_pct"]
-    if overhead > OVERHEAD_GATE_PCT:
-        print(f"FAIL: instrumentation overhead {overhead:.2f}% "
-              f"> {OVERHEAD_GATE_PCT:g}% gate")
-        status = 1
-    audit_overhead = report["audit"]["overhead_pct"]
-    if audit_overhead > OVERHEAD_GATE_PCT:
-        print(f"FAIL: shadow audit overhead {audit_overhead:.2f}% "
-              f"> {OVERHEAD_GATE_PCT:g}% gate")
-        status = 1
-    return status
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point
-# ----------------------------------------------------------------------
-def test_observability_overhead(benchmark):
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    write_report(report)
-    # Parity is asserted inside run_overhead / run_audit_overhead; wall
-    # clock on shared CI runners only has to stay sane, the 5% gate is
-    # the standalone run.
-    assert report["overhead"]["overhead_pct"] < 50.0
-    assert report["audit"]["overhead_pct"] < 50.0
+def gates(report: dict) -> list:
+    failures = []
+    for section, what in (("overhead", "instrumentation"),
+                          ("audit", "shadow audit")):
+        overhead = report[section]["overhead_pct"]
+        if overhead > OVERHEAD_GATE_PCT:
+            failures.append(f"{what} overhead {overhead:.2f}% "
+                            f"> {OVERHEAD_GATE_PCT:g}% gate")
+    return failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(sys.modules[__name__]))

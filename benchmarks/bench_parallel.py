@@ -22,36 +22,28 @@ speedup claim is gated only on machines with >= 2 cores (a single-core
 container can only measure dispatch overhead, which is recorded
 honestly).
 
-Writes ``BENCH_parallel.json``.  Run standalone:
+Writes ``BENCH_parallel.json`` through :mod:`harness`:
 
-    PYTHONPATH=src python benchmarks/bench_parallel.py [--smoke]
+    python benchmarks/bench_parallel.py [--smoke | --no-gate]
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
+from repro.core.compile import compile_fsim
+from repro.core.config import FSimConfig
+from repro.core.plan import clear_plan_caches
+from repro.core.vectorized import VectorizedFSimEngine
+from repro.datasets import load_dataset
+from repro.graph.noise import densify
+from repro.runtime import SharedMemoryExecutor, preferred_start_method
+from repro.simulation import Variant
 
-from repro.core.compile import compile_fsim  # noqa: E402
-from repro.core.config import FSimConfig  # noqa: E402
-from repro.core.plan import clear_plan_caches  # noqa: E402
-from repro.core.vectorized import VectorizedFSimEngine  # noqa: E402
-from repro.datasets import load_dataset  # noqa: E402
-from repro.graph.noise import densify  # noqa: E402
-from repro.runtime import (  # noqa: E402
-    SharedMemoryExecutor,
-    preferred_start_method,
-)
-from repro.simulation import Variant  # noqa: E402
-
-RESULT_PATH = REPO_ROOT / "BENCH_parallel.json"
+RESULT = "BENCH_parallel.json"
 
 #: (dataset, density factor) -- the Figure-9 ladder; the last row is the
 #: headline workload (arena of ~18k updatable pairs per sweep).
@@ -65,6 +57,8 @@ ROUNDS = 2
 #: Required steady-state speedup at the best worker count on the
 #: headline workload -- only enforced on multi-core machines.
 SPEEDUP_GATE = 1.2
+
+SMOKE = dict(workloads=(("nell", 5),), worker_counts=[2], rounds=1)
 
 
 def default_worker_counts():
@@ -186,63 +180,23 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+def checks(report: dict) -> list:
+    """Bitwise parity with serial is asserted per worker count as the
+    run goes; nothing is left to check in the report."""
+    return []
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny workload, no speedup gate, no BENCH_parallel.json write",
-    )
-    parser.add_argument(
-        "--no-gate", action="store_true",
-        help="record scaling and assert bitwise parity, but never fail "
-             "on wall clock (for shared CI runners, whose noisy "
-             "neighbors make speedup thresholds flaky)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        report = run_benchmark(workloads=(("nell", 5),),
-                               worker_counts=[2], rounds=1)
-        print(render(report))
-        return 0
-    report = run_benchmark()
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
-    cores = report["cpu_count"] or 1
-    if args.no_gate:
-        print("speedup gate disabled (--no-gate); parity was asserted")
-        return 0
-    if cores < 2:
-        print("single-core machine: speedup gate skipped "
-              "(dispatch overhead recorded honestly)")
-        return 0
+def gates(report: dict) -> list:
+    if (report["cpu_count"] or 1) < 2:
+        return []  # one core can only show dispatch overhead
     headline = report["workloads"]["acmcit_x5"]
     best = max(
         cell["speedup_vs_serial"] for cell in headline["workers"].values()
     )
-    return 0 if best >= SPEEDUP_GATE else 1
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point
-# ----------------------------------------------------------------------
-def test_parallel_scaling(benchmark):
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    write_report(report)
-    for row in report["workloads"].values():
-        for cell in row["workers"].values():
-            assert cell["bitwise_identical"]
+    if best < SPEEDUP_GATE:
+        return [f"acmcit_x5 best speedup {best}x < {SPEEDUP_GATE}x gate"]
+    return []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(sys.modules[__name__]))

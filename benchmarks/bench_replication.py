@@ -19,37 +19,33 @@ lag draining to zero -- never on wall clock: replication buys
 availability and read fan-out, and on a single-core runner the fan-out
 is invisible by construction.
 
-Writes ``BENCH_replication.json``.  Run standalone:
+Writes ``BENCH_replication.json`` through :mod:`harness`:
 
-    PYTHONPATH=src python benchmarks/bench_replication.py [--smoke]
+    python benchmarks/bench_replication.py [--smoke | --no-gate]
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import pathlib
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core.config import FSimConfig  # noqa: E402
-from repro.graph.digraph import LabeledDigraph  # noqa: E402
-from repro.graph.generators import random_graph, uniform_labels  # noqa: E402
-from repro.service import (  # noqa: E402
+import harness
+from repro.core.config import FSimConfig
+from repro.graph.digraph import LabeledDigraph
+from repro.graph.generators import random_graph, uniform_labels
+from repro.service import (
     GraphStore,
     ReplicaSetClient,
     ServerThread,
     ServiceClient,
     WriteAheadLog,
 )
-from repro.service.client import wire_scores  # noqa: E402
-from repro.simulation import Variant  # noqa: E402
+from repro.service.client import wire_scores
+from repro.simulation import Variant
 
-RESULT_PATH = REPO_ROOT / "BENCH_replication.json"
+RESULT = "BENCH_replication.json"
 
 GRAPH_NAME = "g"
 CATCH_UP_TIMEOUT = 120.0
@@ -252,8 +248,12 @@ def run_round_parity(wal_dir: pathlib.Path, num_nodes: int,
 
 
 # ----------------------------------------------------------------------
-# harness
+# the benchmark
 # ----------------------------------------------------------------------
+SMOKE = dict(num_nodes=18, num_edges=45, backlog=10, stream=8, reads=8,
+             rounds=2)
+
+
 def run_benchmark(num_nodes: int = 40, num_edges: int = 120,
                   backlog: int = 60, stream: int = 40,
                   reads: int = 32, rounds: int = 4) -> dict:
@@ -299,8 +299,7 @@ def render(report: dict) -> str:
     ])
 
 
-def gate(report: dict) -> int:
-    """Correctness gates only (no wall-clock gates on shared runners)."""
+def checks(report: dict) -> list:
     failures = []
     if not report["catch_up"]["parity"]:
         failures.append("catch-up parity broken")
@@ -310,52 +309,14 @@ def gate(report: dict) -> int:
         failures.append("per-round parity broken")
     if report["read_scaling"]["replica_reads"] == 0:
         failures.append("replica set never routed a read to a replica")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+    return failures
 
 
-def write_report(report: dict, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny workload, no BENCH_replication.json write",
-    )
-    parser.add_argument(
-        "--no-gate", action="store_true",
-        help="record the numbers but never fail the run",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        report = run_benchmark(num_nodes=18, num_edges=45, backlog=10,
-                               stream=8, reads=8, rounds=2)
-        print(render(report))
-        return 0 if args.no_gate else gate(report)
-    report = run_benchmark()
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
-    return 0 if args.no_gate else gate(report)
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point
-# ----------------------------------------------------------------------
-def test_replication_lag(benchmark):
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    write_report(report)
-    assert gate(report) == 0
+def gates(report: dict) -> list:
+    """Replication buys availability and read fan-out, which a one-core
+    runner cannot show: there is no wall-clock gate."""
+    return []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(sys.modules[__name__]))

@@ -29,9 +29,10 @@ unsharded reference.  Sharded runs also report the halo traffic
 accounting (per-iteration cross-process bytes are O(boundary pairs),
 not O(arena)).
 
-Writes ``BENCH_scale.json``.  Run standalone:
+Writes ``BENCH_scale.json`` through :mod:`harness`:
 
-    PYTHONPATH=src python benchmarks/bench_scale.py [--smoke]
+    python benchmarks/bench_scale.py [--smoke | --no-gate]
+        [--nodes N] [--labels L] [--edges-per-node E] [--shards S]
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ import subprocess
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # allow standalone execution
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-RESULT_PATH = REPO_ROOT / "BENCH_scale.json"
+RESULT = "BENCH_scale.json"
 
 #: Full-scale workload floor (the acceptance bar of the sharding PR).
 FULL_NODES = 10_000
@@ -58,6 +57,17 @@ SUBSAMPLE = 512
 
 #: Required headline: sharded+memmap peak RSS below unsharded+ram.
 RSS_GATE = 0.9
+
+#: Workload-size flags (``--nodes`` ...) for full runs.
+FLAGS = {
+    "nodes": FULL_NODES,
+    "labels": FULL_LABELS,
+    "edges_per_node": FULL_EDGES_PER_NODE,
+    "shards": FULL_SHARDS,
+}
+
+#: The four configurations and their parity assertions at CI size.
+SMOKE = dict(nodes=400, labels=8, edges_per_node=4, shards=2, timeout=600.0)
 
 CHILD_MARKER = "BENCH_SCALE_CHILD_RESULT "
 
@@ -189,7 +199,7 @@ def run_config(spec: dict, timeout: float) -> dict:
 def run_benchmark(nodes: int = FULL_NODES, labels: int = FULL_LABELS,
                   edges_per_node: int = FULL_EDGES_PER_NODE,
                   shards: int = FULL_SHARDS, seed: int = 97,
-                  timeout: float = 3600.0, smoke: bool = False) -> dict:
+                  timeout: float = 3600.0) -> dict:
     base = {
         "nodes": nodes,
         "edges": nodes * edges_per_node,
@@ -215,7 +225,6 @@ def run_benchmark(nodes: int = FULL_NODES, labels: int = FULL_LABELS,
 
     report = {
         "benchmark": "bench_scale",
-        "smoke": smoke,
         "workload": dict(base, shards=shards,
                          variant="BJ", theta=1.0,
                          label_function="indicator"),
@@ -304,64 +313,24 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path=RESULT_PATH) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload (CI): same four configurations "
-                             "and parity assertions, no RSS gate")
-    parser.add_argument("--child", metavar="SPEC",
-                        help="internal: run one configuration and print "
-                             "its measurement")
-    parser.add_argument("--nodes", type=int, default=FULL_NODES)
-    parser.add_argument("--labels", type=int, default=FULL_LABELS)
-    parser.add_argument("--edges-per-node", type=int,
-                        default=FULL_EDGES_PER_NODE)
-    parser.add_argument("--shards", type=int, default=FULL_SHARDS)
-    parser.add_argument("--no-gate", action="store_true",
-                        help="record RSS and assert parity, but never fail "
-                             "on the memory ratio (shared CI runners)")
-    args = parser.parse_args(argv)
-
-    if args.child:
-        result = run_child(json.loads(args.child))
-        print(CHILD_MARKER + json.dumps(result))
-        return 0
-
-    if args.smoke:
-        report = run_benchmark(nodes=400, labels=8, edges_per_node=4,
-                               shards=2, timeout=600.0, smoke=True)
-    else:
-        report = run_benchmark(nodes=args.nodes, labels=args.labels,
-                               edges_per_node=args.edges_per_node,
-                               shards=args.shards)
-    print(render(report))
-    write_report(report)
-    print(f"wrote {RESULT_PATH}")
-
+def checks(report: dict) -> list:
     if report["parity"]["bitwise"] is False:
-        print("FAIL: a configuration diverged from the unsharded reference")
-        return 1
-    if args.smoke or args.no_gate:
-        return 0
+        return ["a configuration diverged from the unsharded reference"]
+    return []
+
+
+def gates(report: dict) -> list:
     head = report["headline"]
     if head.get("unsharded_oom"):
-        print("unsharded baseline OOMed; sharded runs carry the workload")
-        return 0
+        return []  # the sharded runs carry a workload unsharded cannot
     ratio = head.get("rss_ratio")
     if ratio is None or ratio > RSS_GATE:
-        print(f"FAIL: sharded+memmap RSS ratio {ratio} above gate "
-              f"{RSS_GATE}")
-        return 1
-    return 0
+        return [f"sharded+memmap RSS ratio {ratio} above gate {RSS_GATE}"]
+    return []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    if sys.argv[1:2] == ["--child"]:  # one configuration, for run_config
+        print(CHILD_MARKER + json.dumps(run_child(json.loads(sys.argv[2]))))
+        raise SystemExit(0)
+    raise SystemExit(harness.main(sys.modules[__name__]))

@@ -1,17 +1,21 @@
-"""Benchmark harness configuration.
+"""pytest configuration for the paper's figure and table benchmarks.
 
-Each benchmark regenerates one table or figure of the paper's evaluation
-section (see DESIGN.md's per-experiment index).  Rendered outputs are
-printed and archived under ``benchmarks/results/`` so the paper-vs-
-measured comparison in EXPERIMENTS.md can be refreshed from a single
-run:
+Each ``bench_fig*``, ``bench_table*``, ``bench_case*`` and
+``bench_ablation*`` file regenerates one table, figure or ablation of
+the paper's evaluation section.  Rendered outputs are printed and
+archived under ``benchmarks/results/``.  Run them all with
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_*.py --benchmark-only -s
+
+The system benchmarks (``BENCH_*.json``) are scripts, not pytest files;
+see ``harness.py``.
 """
 
 import pathlib
 
 import pytest
+
+import harness  # noqa: F401  (puts src/ on sys.path for the bench files)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
