@@ -18,7 +18,9 @@ that :mod:`repro.core.vectorized` can run Algorithm 1 as array programs:
   value, pinned pairs frozen slots holding the pinned value;
 - per maintained pair, the precomputed *feasible neighbor-pair index
   lists* (one flat entry per feasible ``(a, b)`` in ``N(u) x N(v)``,
-  storing the arena pair-id of ``(a, b)``), segmented for the
+  storing the arena pair-id of ``(a, b)``), enumerated by joining each
+  outer neighbor with its theta-feasible bucket of inner neighbors (the
+  cross product is never formed) and segmented for the
   variant-specific reduction (per-source groups for s/b, matching
   problems for dp/bj, plain sums for the cross/SimRank configuration);
 - Equation-6 upper bounds evaluated in bulk (with vectorized fast paths
@@ -57,9 +59,10 @@ from repro.simulation.matching import hopcroft_karp
 Node = Hashable
 Pair = Tuple[Node, Node]
 
-#: Chunk budget (cross-product cells) for the entry builders, bounding
-#: peak transient memory during compilation.
-_CHUNK_CELLS = 2_000_000
+#: Chunk budget (emitted entries or candidate pairs) for the entry
+#: builders and the blocked pruner, bounding peak transient memory
+#: during compilation.
+_CHUNK_ENTRIES = 2_000_000
 
 #: Maximum |V1| * |V2| for the dense pair-id lookup table (int32 cells).
 _DENSE_LOOKUP_CELLS = 1 << 24
@@ -315,6 +318,8 @@ class CompiledFSim:
 
     def __init__(self, graph1: LabeledDigraph, graph2: LabeledDigraph,
                  config: FSimConfig):
+        from repro.obs.profiling import phase
+
         self.config = config
         # lower_graph is cached per graph, so self-similarity and
         # repeated queries share one plan automatically.
@@ -322,7 +327,8 @@ class CompiledFSim:
         self._build_label_tables()
         self._build_arena()
         self._apply_pinning()
-        self._build_terms()
+        with phase("compile.enumerate"):
+            self._build_terms()
         self._build_dependencies()
 
     # ------------------------------------------------------------------
@@ -345,9 +351,11 @@ class CompiledFSim:
         self.in1 = plan1.in_csr
         self.out2 = plan2.out_csr
         self.in2 = plan2.in_csr
-        #: Per-CSR label-count matrices (see :meth:`_label_count_matrix`);
-        #: keyed by CSR identity, so re-attaching plans invalidates it.
-        self._lcm_cache: Dict[tuple, np.ndarray] = {}
+        #: Per-CSR artefacts that depend only on the plans: label-count
+        #: matrices (:meth:`_label_count_matrix`) and feasible-neighbor
+        #: bucket indexes (:meth:`_neighbor_buckets`).  Keyed by CSR
+        #: identity, so re-attaching plans invalidates it.
+        self._csr_cache: Dict[tuple, object] = {}
 
     def _build_label_tables(self):
         self.lsim_table = label_similarity_table(
@@ -359,6 +367,8 @@ class CompiledFSim:
     # arena construction (Line 1 of Algorithm 1, array form)
     # ------------------------------------------------------------------
     def _build_arena(self):
+        from repro.obs.profiling import phase
+
         cfg = self.config
         # Feasible G2 partners per G1 label, concatenated in the reference
         # candidate order (G2 labels in first-seen order, members in
@@ -395,10 +405,11 @@ class CompiledFSim:
         #: every entry list) leaves all sequential sums, group maxima and
         #: greedy matchings bit-identical -- the pair contributes nothing
         #: that adding 0.0 would not.  Pair-id lookups must then tolerate
-        #: misses (:meth:`_lookup_arena_checked`).
+        #: misses (:meth:`_lookup_arena`).
         self.pruned_compact = cfg.use_upper_bound and cfg.alpha == 0.0
         if self.pruned_compact:
-            self._build_arena_blocked(all_v, vstart, counts)
+            with phase("compile.bounds"):
+                self._build_arena_blocked(all_v, vstart, counts)
         else:
             if self.n1:
                 self.arena_v = all_v[
@@ -418,11 +429,12 @@ class CompiledFSim:
                 else np.empty(0, dtype=np.float64)
             )
             if cfg.use_upper_bound:
-                self.ub = self._bound_pairs(
-                    self.arena_u.astype(np.int64),
-                    self.arena_v.astype(np.int64),
-                    self.arena_label,
-                )
+                with phase("compile.bounds"):
+                    self.ub = self._bound_pairs(
+                        self.arena_u.astype(np.int64),
+                        self.arena_v.astype(np.int64),
+                        self.arena_label,
+                    )
                 self.maintained = self.ub > cfg.beta
             else:
                 self.ub = None
@@ -516,16 +528,9 @@ class CompiledFSim:
         self.num_feasible = len(self.arena_u)
 
     def _lookup_arena(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Arena pair-ids of feasible ``(u, v)`` index pairs (must exist)."""
-        keys = us.astype(np.int64) * max(self.n2, 1) + vs
-        pos = np.searchsorted(self._sorted_keys, keys)
-        return self._key_order[pos]
-
-    def _lookup_arena_checked(self, us: np.ndarray,
-                              vs: np.ndarray) -> np.ndarray:
-        """Like :meth:`_lookup_arena`, but -1 for pairs not in the arena
-        (compact arenas drop pruned pairs, so feasibility no longer
-        implies membership)."""
+        """Arena pair-ids of ``(u, v)`` index pairs, -1 for pairs not in
+        the arena (compact arenas drop pruned pairs, so feasibility no
+        longer implies membership)."""
         if not len(self._sorted_keys):
             return np.full(len(us), -1, dtype=np.int64)
         keys = us.astype(np.int64) * max(self.n2, 1) + vs
@@ -618,14 +623,14 @@ class CompiledFSim:
         plan generation and the matrix only depends on the plan.
         """
         key = (id(csr), n, num_labels)
-        cached = self._lcm_cache.get(key)
+        cached = self._csr_cache.get(key)
         if cached is not None:
             return cached
         counts = np.zeros((n, max(num_labels, 1)), dtype=np.int64)
         if len(csr.indices):
             rows = np.repeat(np.arange(n, dtype=np.int64), csr.degrees)
             np.add.at(counts, (rows, nlab[csr.indices]), 1)
-        self._lcm_cache[key] = counts
+        self._csr_cache[key] = counts
         return counts
 
     def _mapping_sizes(self, variant, csr1: _Csr, csr2: _Csr,
@@ -762,20 +767,70 @@ class CompiledFSim:
         structure = self._match_entries(csr1, csr2)
         return DirectionTerm("match", conv, denom, (structure,))
 
-    def _iter_chunks(self, cells: np.ndarray):
-        """Yield ``(start, end)`` pair ranges of ~bounded cross-product size."""
-        total = len(cells)
+    def _iter_chunks(self, sizes: np.ndarray):
+        """Yield ``(start, end)`` ranges whose ``sizes`` sum to about
+        ``_CHUNK_ENTRIES``: a range closes at the first item that brings
+        its sum to the budget, and the last range takes the rest."""
+        total = len(sizes)
+        ends = np.cumsum(sizes, dtype=np.int64)
         start = 0
         while start < total:
-            end = start
-            budget = 0
-            while end < total:
-                budget += int(cells[end])
-                end += 1
-                if budget >= _CHUNK_CELLS:
-                    break
+            base = int(ends[start - 1]) if start else 0
+            end = int(np.searchsorted(ends, base + _CHUNK_ENTRIES)) + 1
+            end = min(end, total)
             yield start, end
             start = end
+
+    def _neighbor_buckets(self, csr: _Csr, outer: str):
+        """Feasible-neighbor index of the inner side of an enumeration.
+
+        ``csr`` is the inner side: G2 when G1 neighbors drive the outer
+        loop (``outer="left"``), G1 for ``"right"``.  Key ``(x, k)`` --
+        inner node ``x``, outer label ``k`` -- maps to the CSR-ordered
+        local positions of ``x``'s neighbors whose labels are
+        theta-feasible with ``k``.  Outer labels with identical
+        feasibility rows share one class, so the index holds each CSR
+        entry once per feasible class (once in total at theta = 0).
+        Returns ``(label_class, num_classes, keys, starts, counts,
+        local)``: key ``x * num_classes + label_class[k]`` is found by
+        searchsorted in the sorted distinct ``keys``, and its bucket is
+        ``local[starts:starts + counts]``.  Cached per CSR, like
+        :meth:`_label_count_matrix`.
+        """
+        key = ("buckets", id(csr), outer)
+        cached = self._csr_cache.get(key)
+        if cached is not None:
+            return cached
+        if outer == "left":
+            feas, inner_lab = self.feas, self.nlab2
+        else:
+            feas, inner_lab = self.feas.T, self.nlab1
+        class_rows, label_class = np.unique(
+            feas, axis=0, return_inverse=True
+        )
+        num_classes = len(class_rows)
+        # Per inner label, its feasible classes in ascending order.
+        per_label = class_rows.sum(axis=0)
+        label_classes = np.nonzero(class_rows.T)[1]
+        ent_lab = inner_lab[csr.indices]
+        reps = per_label[ent_lab]
+        ent = np.repeat(np.arange(len(csr.indices), dtype=np.int64), reps)
+        ent_class = label_classes[
+            ragged_indices((np.cumsum(per_label) - per_label)[ent_lab], reps)
+        ]
+        ent_row = np.repeat(
+            np.arange(len(csr.degrees), dtype=np.int64), csr.degrees
+        )[ent]
+        keys = ent_row * num_classes + ent_class
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        local = (ent - csr.indptr[ent_row])[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        counts = np.diff(np.append(starts, len(keys)))
+        index = (label_class.reshape(-1), num_classes, keys[starts], starts,
+                 counts, local)
+        self._csr_cache[key] = index
+        return index
 
     def _cross_feasible(self, csr1: _Csr, csr2: _Csr, outer: str,
                         us: "np.ndarray | None" = None,
@@ -789,65 +844,64 @@ class CompiledFSim:
         an explicit row subset (default: every updatable pair); the
         streaming patcher uses this to rebuild only the rows a graph
         delta touched.
+
+        Each (pair, outer neighbor) row gathers its bucket from
+        :meth:`_neighbor_buckets`; buckets keep CSR order, so the output
+        is the reference nested loop restricted to its feasible cells,
+        and infeasible cells are never formed.
         """
         if us is None:
             us = self.upd_u
             vs = self.upd_v
-        d1 = csr1.degrees[us]
-        d2 = csr2.degrees[vs]
-        cells = d1 * d2
-        for start, end in self._iter_chunks(cells):
-            cnt = cells[start:end]
-            total = int(cnt.sum())
-            if total == 0:
-                continue
-            pair_pos = np.repeat(
-                np.arange(start, end, dtype=np.int64), cnt
+        if outer == "left":
+            ocsr, icsr, onodes, inodes, olab = csr1, csr2, us, vs, self.nlab1
+        else:
+            ocsr, icsr, onodes, inodes, olab = csr2, csr1, vs, us, self.nlab2
+        d_out = ocsr.degrees[onodes]
+        if not d_out.any():
+            return
+        label_class, width, keys, starts, counts, local = (
+            self._neighbor_buckets(icsr, outer)
+        )
+        if not len(keys):
+            return
+        for start, end in self._iter_chunks(d_out):
+            row_pair = np.repeat(
+                np.arange(start, end, dtype=np.int64), d_out[start:end]
             )
-            # Division-free nested-loop indices: the outer index is a
-            # ragged arange over outer degrees repeated per inner row,
-            # the inner index a ragged arange over repeated inner degrees.
-            if outer == "left":
-                outer_deg, inner_deg = d1[start:end], d2[start:end]
-            else:
-                outer_deg, inner_deg = d2[start:end], d1[start:end]
-            inner_per_row = np.repeat(inner_deg, outer_deg)
-            o_local = np.repeat(_ragged_arange(outer_deg), inner_per_row)
-            i_local = _ragged_arange(inner_per_row)
-            if outer == "left":
-                a_local, b_local = o_local, i_local
-            else:
-                a_local, b_local = i_local, o_local
-            a_node = csr1.indices[
-                np.repeat(csr1.indptr[us[start:end]], cnt) + a_local
-            ]
-            b_node = csr2.indices[
-                np.repeat(csr2.indptr[vs[start:end]], cnt) + b_local
-            ]
-            if self._pair_id_dense is not None:
-                ids = self._pair_id_dense[a_node, b_node]
-                mask = ids >= 0
-                if not mask.any():
-                    continue
-                arena = ids[mask].astype(np.int64)
-            else:
-                mask = self.feas[self.nlab1[a_node], self.nlab2[b_node]]
-                if not mask.any():
-                    continue
-                if self.pruned_compact:
-                    ids = self._lookup_arena_checked(
-                        a_node[mask], b_node[mask]
-                    )
-                    hit = ids >= 0
-                    if not hit.any():
-                        continue
-                    sel = np.flatnonzero(mask)[hit]
-                    mask = np.zeros(len(a_node), dtype=bool)
-                    mask[sel] = True
-                    arena = ids[hit]
+            o_local = _ragged_arange(d_out[start:end])
+            o_node = ocsr.indices[ocsr.indptr[onodes[row_pair]] + o_local]
+            i_node = inodes[row_pair]
+            query = i_node * width + label_class[olab[o_node]]
+            pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            b_count = np.where(keys[pos] == query, counts[pos], 0)
+            b_start = starts[pos]
+            for r0, r1 in self._iter_chunks(b_count):
+                cnt = b_count[r0:r1]
+                ent_row = np.repeat(np.arange(r0, r1, dtype=np.int64), cnt)
+                i_local = local[ragged_indices(b_start[r0:r1], cnt)]
+                pair_pos = row_pair[ent_row]
+                inner = icsr.indices[icsr.indptr[i_node[ent_row]] + i_local]
+                if outer == "left":
+                    a_local, b_local = o_local[ent_row], i_local
+                    a_node, b_node = o_node[ent_row], inner
                 else:
-                    arena = self._lookup_arena(a_node[mask], b_node[mask])
-            yield pair_pos[mask], a_local[mask], b_local[mask], arena
+                    a_local, b_local = i_local, o_local[ent_row]
+                    a_node, b_node = inner, o_node[ent_row]
+                if self._pair_id_dense is not None:
+                    arena = self._pair_id_dense[a_node, b_node].astype(
+                        np.int64
+                    )
+                else:
+                    arena = self._lookup_arena(a_node, b_node)
+                if self.pruned_compact:
+                    # Compact arenas drop pruned pairs: feasible cells
+                    # without an arena id contribute nothing.
+                    hit = arena >= 0
+                    pair_pos, a_local, b_local, arena = (
+                        pair_pos[hit], a_local[hit], b_local[hit], arena[hit]
+                    )
+                yield pair_pos, a_local, b_local, arena
 
     def _cross_entries(self, csr1: _Csr, csr2: _Csr, outer: str,
                        grouped: bool = True,
@@ -1079,7 +1133,7 @@ class CompiledFSim:
         clone.upd_label = self.upd_label[positions]
         for cached in ("_result_pairs", "_result_ids"):
             clone.__dict__.pop(cached, None)
-        clone._lcm_cache = {}
+        clone._csr_cache = {}
         clone._build_terms()
         clone._build_dependencies()
         return clone
